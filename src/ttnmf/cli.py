@@ -92,9 +92,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--missing-mode", dest="missing_mode",
                    choices=("none", "weighted_fill", "em_mask"))
     p.add_argument("--q-max", dest="q_max", type=int)
-    p.add_argument("--seed", type=int)  # accepted for config symmetry; unused
     p.add_argument("--split", type=int)
-    p.add_argument("--step-safety", dest="step_safety", type=float)
     p.add_argument("--profile", choices=tuple(PROFILES))
 
     p = sub.add_parser("estimate", help="estimate OD flows from link flows")
@@ -117,7 +115,7 @@ _DEFAULTS = {
     "routers": 6, "rank": 4, "n_timestamps": 400, "lags": "1,2",
     "noise": 0.05, "seed": 0, "split": None, "mask_fraction": 0.0,
     "beta_h": 0.2, "beta_a": 0.2, "missing_mode": "none", "q_max": 50,
-    "step_safety": 1.0, "q_max_gd": 200, "r_max_em": 200,
+    "q_max_gd": 200, "r_max_em": 200,
     "delta_gd": 1e-3, "delta_em": 1e-9,
 }
 
@@ -125,7 +123,7 @@ _CASTS = {
     "routers": int, "rank": int, "n_timestamps": int, "seed": int,
     "split": int, "q_max": int, "q_max_gd": int, "r_max_em": int,
     "noise": float, "mask_fraction": float, "beta_h": float, "beta_a": float,
-    "step_safety": float, "delta_gd": float, "delta_em": float,
+    "delta_gd": float, "delta_em": float,
 }
 
 
@@ -246,8 +244,7 @@ def _cmd_train(args) -> int:
     config = TrainConfig(
         rank=get("rank"), lag_set=lag_set,
         beta_temporal=get("beta_h"), beta_ortho=get("beta_a"),
-        q_max=get("q_max"), missing_mode=get("missing_mode"),
-        step_safety=get("step_safety"))
+        q_max=get("q_max"), missing_mode=get("missing_mode"))
     model, report = train(traffic, routing, config)
 
     out = _outdir(args)

@@ -69,8 +69,9 @@ def refine_em(x0, link_flows, routing,
     """Multiplicative EM refinement of an OD flow vector against y = A x.
 
     Columns of A with zero sum are held fixed; a zero denominator on a link
-    with positive load is floored at 1e-12 (and logged).  The update is
-    scale-equivariant and leaves exact solutions of A x = y unchanged.
+    with positive load is floored at 1e-12 (and logged once per call).  The
+    update is scale-equivariant and leaves exact solutions of A x = y
+    unchanged.
     """
     a = routing_array(routing)
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
@@ -82,19 +83,23 @@ def refine_em(x0, link_flows, routing,
     fixed = col == 0
     col_div = np.where(fixed, 1.0, col)
     eps_min = config.delta_em * float(x @ x)
+    loaded = y > 0
+    floored = 0
     for _ in range(config.r_max_em):
         ax = a @ x
         zero = ax == 0.0
-        if np.any(zero & (y > 0)):
-            logger.warning("refine_em: %d links have zero predicted load but "
-                           "positive observation; denominator floored",
-                           int((zero & (y > 0)).sum()))
+        hit = zero & loaded
+        if hit.any():
+            floored = max(floored, int(hit.sum()))
         ratio = y / np.where(zero, 1e-12, ax)
         x_new = np.where(fixed, x, x / col_div * (a.T @ ratio))
         move = x_new - x
         x = x_new
         if float(move @ move) < eps_min:
             break
+    if floored:
+        logger.warning("refine_em: up to %d links had zero predicted load but "
+                       "positive observation; denominator floored", floored)
     return x
 
 

@@ -99,14 +99,6 @@ class TemporalGraph:
         row = np.asarray(row, dtype=float)
         return 2.0 * (self.laplacian @ row) + self.diagonal * row
 
-    def curvature_bound(self) -> float:
-        """Upper bound on ||Lap||_2 + ||D||_2 (infinity norm on the Laplacian)."""
-        if self.n_timestamps == 0:
-            return 0.0
-        lap_inf = float(np.abs(self.laplacian).sum(axis=1).max())
-        d_norm = float(np.max(np.abs(self.diagonal))) if self.diagonal.size else 0.0
-        return lap_inf + d_norm
-
 
 def build_temporal_graph(ar_row, lag_set: LagSet, n_timestamps: int) -> TemporalGraph:
     """Build the temporal graph of one latent row.
@@ -244,6 +236,36 @@ def routing_array(routing) -> np.ndarray:
     return arr
 
 
+def ar_residual(latent, ar_weights, lag_set: LagSet) -> np.ndarray:
+    """AR residuals of all latent rows over the window t >= max_lag.
+
+    For a nonempty lag set, returns the k x (T - max_lag) array whose entry
+    (p, t - max_lag) is h_p(t) - sum_l w_p(l) h_p(t - l); one slice per lag.
+    """
+    L = lag_set.max_lag
+    T = latent.shape[1]
+    resid = latent[:, L:].copy()
+    for q, lag in enumerate(lag_set.lags):
+        resid -= ar_weights[:, q, None] * latent[:, L - lag : T - lag]
+    return resid
+
+
+def temporal_penalty_gradient(latent, ar_weights, lag_set: LagSet) -> np.ndarray:
+    """Gradient of temporal_penalty_value with respect to the latent rows.
+
+    The AR residual correlated with the lag filter (-1 at lag 0, w_p(l) at
+    lag l); row p equals build_temporal_graph(...).gradient of that row.
+    """
+    L = lag_set.max_lag
+    T = latent.shape[1]
+    resid = ar_residual(latent, ar_weights, lag_set)
+    grad = np.zeros_like(latent)
+    grad[:, L:] = resid
+    for q, lag in enumerate(lag_set.lags):
+        grad[:, L - lag : T - lag] -= ar_weights[:, q, None] * resid
+    return grad
+
+
 def temporal_penalty_value(latent, ar_weights, lag_set: LagSet, form: str) -> float:
     """AR temporal penalty over all latent rows.
 
@@ -267,14 +289,8 @@ def temporal_penalty_value(latent, ar_weights, lag_set: LagSet, form: str) -> fl
     if L >= T:
         raise ConfigError(f"max lag {L} must be < number of timestamps {T}")
     if form == "residual":
-        total = 0.0
-        for p in range(k):
-            pred = np.zeros(T - L)
-            for q, lag in enumerate(lag_set.lags):
-                pred += ar_weights[p, q] * latent[p, L - lag : T - lag]
-            resid = latent[p, L:] - pred
-            total += 0.5 * float(resid @ resid)
-        return total
+        resid = ar_residual(latent, ar_weights, lag_set)
+        return 0.5 * float(np.vdot(resid, resid))
     total = 0.0
     for p in range(k):
         graph = build_temporal_graph(ar_weights[p], lag_set, T)

@@ -43,11 +43,6 @@ class RoutingMatrix:
     def n_pairs(self) -> int:
         return self.entries.shape[1]
 
-    @property
-    def underdetermined(self) -> bool:
-        # fewer links than OD pairs: the usual tomography regime, not enforced
-        return self.n_links < self.n_pairs
-
 
 @dataclass(frozen=True)
 class TrafficMatrix:

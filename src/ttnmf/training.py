@@ -12,7 +12,10 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure, ShapeError, UsageError
 from .factors import (FactorModel, LagSet, RegularizationWeights,
                       build_lag_design_matrix, build_temporal_graph,
-                      ortho_penalty_value, routing_array)
+                      ortho_penalty_value, routing_array,
+                      temporal_penalty_gradient)
+# build_temporal_graph is the paper-form oracle; training never calls it, and
+# it stays importable here so that bench/tracing.py can count calls to it
 from .initialization import init_factors_svd, init_lag_weights
 from .network import TrafficMatrix
 
@@ -31,15 +34,11 @@ class TrainConfig:
     beta_ortho: float = 0.2
     q_max: int = 50
     q_block_max: int = 10
-    q_block_spatial: int | None = None
-    q_block_latent: int | None = None
-    q_block_ar: int | None = None
     delta: float = 1e-9
     delta_spatial: float = 1e-3
     delta_latent: float = 1e-3
     delta_ar: float = 1e-5
     missing_mode: str = "none"
-    step_safety: float = 1.0
 
     def validate(self):
         if self.rank < 1:
@@ -50,23 +49,11 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {b}")
         if self.q_max < 1 or self.q_block_max < 1:
             raise ConfigError("iteration limits must be >= 1")
-        for name in ("q_block_spatial", "q_block_latent", "q_block_ar"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ConfigError(f"{name} must be >= 1, got {v}")
         for name in ("delta", "delta_spatial", "delta_latent", "delta_ar"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
         if self.missing_mode not in ("none", "weighted_fill", "em_mask"):
             raise ConfigError(f"unknown missing_mode {self.missing_mode!r}")
-        if self.step_safety <= 0:
-            raise ConfigError("step_safety must be > 0")
-
-    def block_limit(self, block: str) -> int:
-        override = {"spatial": self.q_block_spatial,
-                    "latent": self.q_block_latent,
-                    "ar": self.q_block_ar}[block]
-        return override if override is not None else self.q_block_max
 
     def block_delta(self, block: str) -> float:
         return {"spatial": self.delta_spatial,
@@ -145,167 +132,165 @@ def _nesterov_loop(b0, grad, err, lip, q_max, rel_tol=None, abs_tol=None):
     return b_best, n
 
 
-def block_gradient(block: str, x, model: FactorModel,
-                   weights: RegularizationWeights, routing) -> np.ndarray:
-    """Analytic gradient of the full objective with respect to one block."""
-    x = np.asarray(x, dtype=float)
-    a = routing_array(routing)
-    w, h = model.spatial, model.latent
-    if block == "spatial":
-        grad = 2.0 * (w @ (h @ h.T) - x @ h.T)
-        if weights.lambda_ortho > 0:
-            compact = a @ w
-            gram = compact.T @ compact - np.eye(w.shape[1])
-            grad += 4.0 * weights.lambda_ortho * (a.T @ (compact @ gram))
-        return grad
-    if block == "latent":
-        grad = 2.0 * ((w.T @ w) @ h - w.T @ x)
-        if weights.lambda_temporal > 0 and len(model.lag_set) > 0:
-            for p in range(h.shape[0]):
-                graph = build_temporal_graph(model.ar_weights[p], model.lag_set,
-                                             h.shape[1])
-                grad[p] += weights.lambda_temporal * graph.gradient(h[p])
-        return grad
-    if block == "ar":
-        grad = np.zeros_like(model.ar_weights)
-        if weights.lambda_temporal > 0 and len(model.lag_set) > 0:
-            for p in range(h.shape[0]):
-                design = build_lag_design_matrix(h, p, model.lag_set)
-                grad[p] = weights.lambda_temporal * (
-                    model.ar_weights[p] @ (design @ design.T) - h[p] @ design.T)
-        return grad
-    raise UsageError(f"unknown block {block!r}")
-
-
-def block_lipschitz(block: str, x, model: FactorModel,
-                    weights: RegularizationWeights, row: int | None = None) -> float:
-    """Step-size denominator for one block (1.0 when the curvature vanishes).
-
-    Data-fit parts use the exact Hessian norms 2||H H^T||_2 / 2||W^T W||_2;
-    the temporal part of the latent block adds lambda * sum_p(||Lap_p|| +
-    ||D_p||) with the Laplacian norm bounded by its infinity norm.
-    """
-    w, h = model.spatial, model.latent
-    if block == "spatial":
-        lip = 2.0 * _norm2(h @ h.T)
-    elif block == "latent":
-        lip = 2.0 * _norm2(w.T @ w)
-        if weights.lambda_temporal > 0 and len(model.lag_set) > 0:
-            bound = 0.0
-            for p in range(h.shape[0]):
-                graph = build_temporal_graph(model.ar_weights[p], model.lag_set,
-                                             h.shape[1])
-                bound += graph.curvature_bound()
-            lip += weights.lambda_temporal * bound
-    elif block == "ar":
-        if row is None:
-            raise UsageError("the ar block needs a row index")
-        design = build_lag_design_matrix(h, row, model.lag_set)
-        lip = _norm2(design @ design.T)
-    else:
-        raise UsageError(f"unknown block {block!r}")
+def _positive(lip: float) -> float:
+    """A step-size denominator, 1.0 where the curvature vanishes."""
     return lip if lip > 0 else 1.0
 
 
-def _update_spatial(x, w, h, weights, a, q_max, delta, safety):
+def _spatial_block(x, h, weights, a):
+    """(grad, err, lip) of the spatial block with H fixed.
+
+    err is the data fit.  lip = 2||H H^T||_2 bounds the data-fit curvature
+    only, not that of the quartic orthogonality term.
+    """
     hht = h @ h.T
     xht = x @ h.T
     lam = weights.lambda_ortho
-    eye = np.eye(w.shape[1])
-    lip = 2.0 * _norm2(hht)
-    lip = (lip if lip > 0 else 1.0) * safety
+    eye = np.eye(h.shape[0])
 
     def grad(c):
         g = 2.0 * (c @ hht - xht)
         if lam > 0:
             compact = a @ c
-            g = g + 4.0 * lam * (a.T @ (compact @ (compact.T @ compact - eye)))
+            g += 4.0 * lam * (a.T @ (compact @ (compact.T @ compact - eye)))
         return g
 
     def err(b):
         return _frob2(x - b @ h)
 
-    return _nesterov_loop(w, grad, err, lip, q_max, rel_tol=delta)
+    return grad, err, _positive(2.0 * _norm2(hht))
 
 
-def _update_latent(x, w, h, omega, lag_set, weights, q_max, delta, safety):
+def _latent_block(x, w, omega, lag_set, weights):
+    """(grad, err, lip) of the latent block with W and the AR weights fixed.
+
+    err is the data fit.  The temporal Hessian is block-diagonal over rows,
+    with blocks M_p^T M_p for the AR residual operator M_p of row p, and
+    ||M_p||_2 <= 1 + sum_l |w_p(l)|; so lip = 2||W^T W||_2 +
+    lambda_t max_p (1 + sum_l |w_p(l)|)^2 is a valid bound.
+    """
     wtw = w.T @ w
     wtx = w.T @ x
-    lam = weights.lambda_temporal
-    graphs = None
+    lam = weights.lambda_temporal if len(lag_set) > 0 else 0.0
     lip = 2.0 * _norm2(wtw)
-    if lam > 0 and len(lag_set) > 0:
-        graphs = [build_temporal_graph(omega[p], lag_set, h.shape[1])
-                  for p in range(h.shape[0])]
-        lip += lam * sum(g.curvature_bound() for g in graphs)
-    lip = (lip if lip > 0 else 1.0) * safety
+    if lam > 0:
+        lip += lam * float(np.max((1.0 + np.abs(omega).sum(axis=1)) ** 2))
 
     def grad(c):
         g = 2.0 * (wtw @ c - wtx)
-        if graphs is not None:
-            for p, graph in enumerate(graphs):
-                g[p] += lam * graph.gradient(c[p])
+        if lam > 0:
+            g += lam * temporal_penalty_gradient(c, omega, lag_set)
         return g
 
     def err(b):
         return _frob2(x - w @ b)
 
-    return _nesterov_loop(h, grad, err, lip, q_max, rel_tol=delta)
+    return grad, err, _positive(lip)
 
 
-def _update_ar(h, omega, lag_set, q_max, delta, safety):
-    # lambda cancels between the gradient and the step size, so rows are
-    # fit against the plain AR residual; rows with a zero design are skipped
+def _ar_block(h, row, lag_set, lam):
+    """(grad, err, lip) of one row of the AR weights with H fixed.
+
+    err is the row's AR residual over the full length, zero-padded prefix
+    included; lip = lambda_t ||G||_2 for the row's lag Gram matrix G.
+    """
+    design = build_lag_design_matrix(h, row, lag_set)
+    gram = design @ design.T
+    target = h[row] @ design.T
+    series = h[row]
+
+    def grad(c):
+        return lam * (c @ gram - target)
+
+    def err(b):
+        r = series - b @ design
+        return float(r @ r)
+
+    return grad, err, _positive(lam * _norm2(gram))
+
+
+def _block(block, x, model, weights, a, row=None):
+    """(grad, err, lip) of one block, the other blocks held at `model`."""
+    if block == "spatial":
+        return _spatial_block(x, model.latent, weights, a)
+    if block == "latent":
+        return _latent_block(x, model.spatial, model.ar_weights, model.lag_set,
+                             weights)
+    if block == "ar":
+        return _ar_block(model.latent, row, model.lag_set,
+                         weights.lambda_temporal)
+    raise UsageError(f"unknown block {block!r}")
+
+
+def block_gradient(block: str, x, model: FactorModel,
+                   weights: RegularizationWeights, routing) -> np.ndarray:
+    """Analytic gradient of the full objective with respect to one block."""
+    x = np.asarray(x, dtype=float)
+    a = routing_array(routing)
+    if block == "ar":
+        grad = np.zeros_like(model.ar_weights)
+        for p in range(model.rank):
+            grad[p] = _block(block, x, model, weights, a, row=p)[0](
+                model.ar_weights[p])
+        return grad
+    current = model.spatial if block == "spatial" else model.latent
+    return _block(block, x, model, weights, a)[0](current)
+
+
+def block_lipschitz(block: str, x, model: FactorModel,
+                    weights: RegularizationWeights, row: int | None = None) -> float:
+    """Step-size denominator that training uses for one block.
+
+    Spatial: 2||H H^T||_2.  Latent: 2||W^T W||_2 + lambda_t max_p (1 +
+    sum_l |w_p(l)|)^2.  AR row: lambda_t ||G_row||_2.  1.0 where the
+    curvature vanishes.  No step depends on the data, so x may be None.
+    """
+    if block == "ar" and row is None:
+        raise UsageError("the ar block needs a row index")
+    x = (np.zeros((model.n_flows, model.n_timestamps)) if x is None
+         else np.asarray(x, dtype=float))
+    # the routing enters only the spatial gradient, which is not evaluated
+    return _block(block, x, model, weights, None, row)[2]
+
+
+def _update_spatial(x, w, h, weights, a, q_max, delta):
+    return _nesterov_loop(w, *_spatial_block(x, h, weights, a), q_max,
+                          rel_tol=delta)
+
+
+def _update_latent(x, w, h, omega, lag_set, weights, q_max, delta):
+    return _nesterov_loop(h, *_latent_block(x, w, omega, lag_set, weights),
+                          q_max, rel_tol=delta)
+
+
+def _update_ar(h, omega, lag_set, lam, q_max, delta):
     new = omega.copy()
     total_iters = 0
     for p in range(h.shape[0]):
-        design = build_lag_design_matrix(h, p, lag_set)
-        gram = design @ design.T
-        target = h[p] @ design.T
-        if not gram.any():
-            continue
-        lip = _norm2(gram)
-        lip = (lip if lip > 0 else 1.0) * safety
-        row = h[p]
-
-        def grad(c):
-            return c @ gram - target
-
-        def err(b):
-            # full-length residual, zero-padded prefix included
-            r = row - b @ design
-            return float(r @ r)
-
-        new[p], iters = _nesterov_loop(omega[p], grad, err, lip, q_max,
-                                       rel_tol=delta)
+        new[p], iters = _nesterov_loop(omega[p],
+                                       *_ar_block(h, p, lag_set, lam),
+                                       q_max, rel_tol=delta)
         total_iters += iters
     return new, total_iters
 
 
 def fast_gradient_update(block: str, x, model: FactorModel,
                          weights: RegularizationWeights, routing,
-                         q_block_max: int = 10, delta_block: float = 1e-3,
-                         step_safety: float = 1.0) -> np.ndarray:
+                         q_block_max: int = 10,
+                         delta_block: float = 1e-3) -> np.ndarray:
     """One inner accelerated-gradient pass over a block.
 
     The returned block never measures worse than the entry point on the
     block's error (data fit for spatial/latent, AR residual for ar).
     """
-    x = np.asarray(x, dtype=float)
-    a = routing_array(routing)
-    if block == "spatial":
-        out, _ = _update_spatial(x, model.spatial, model.latent, weights, a,
-                                 q_block_max, delta_block, step_safety)
-    elif block == "latent":
-        out, _ = _update_latent(x, model.spatial, model.latent,
-                                model.ar_weights, model.lag_set, weights,
-                                q_block_max, delta_block, step_safety)
-    elif block == "ar":
-        out, _ = _update_ar(model.latent, model.ar_weights, model.lag_set,
-                            q_block_max, delta_block, step_safety)
-    else:
-        raise UsageError(f"unknown block {block!r}")
-    return out
+    if block == "ar":
+        return _update_ar(model.latent, model.ar_weights, model.lag_set,
+                          weights.lambda_temporal, q_block_max, delta_block)[0]
+    triple = _block(block, np.asarray(x, dtype=float), model, weights,
+                    routing_array(routing))
+    current = model.spatial if block == "spatial" else model.latent
+    return _nesterov_loop(current, *triple, q_block_max,
+                          rel_tol=delta_block)[0]
 
 
 def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,
@@ -380,20 +365,12 @@ def fill_missing_weighted(x, mask, rank: int, n_sweeps: int = 300,
 
     e_prev = err_w(w)
     for _ in range(n_sweeps):
-        hht_lip = 2.0 * _norm2(h @ h.T)
         w, _ = _nesterov_loop(
-            w,
-            lambda c: 2.0 * ((mask * (c @ h - x)) @ h.T),
-            err_w,
-            (hht_lip if hht_lip > 0 else 1.0),
-            10, rel_tol=1e-6)
-        wtw_lip = 2.0 * _norm2(w.T @ w)
+            w, lambda c: 2.0 * ((mask * (c @ h - x)) @ h.T), err_w,
+            _positive(2.0 * _norm2(h @ h.T)), 10, rel_tol=1e-6)
         h, _ = _nesterov_loop(
-            h,
-            lambda c: 2.0 * (w.T @ (mask * (w @ c - x))),
-            err_h,
-            (wtw_lip if wtw_lip > 0 else 1.0),
-            10, rel_tol=1e-6)
+            h, lambda c: 2.0 * (w.T @ (mask * (w @ c - x))), err_h,
+            _positive(2.0 * _norm2(w.T @ w)), 10, rel_tol=1e-6)
         e_curr = err_h(h)
         if e_prev - e_curr <= tol * max(e_prev, 1e-300):
             break
@@ -469,24 +446,22 @@ def train(traffic, routing, config: TrainConfig):
         snapshot = {"spatial": w, "latent": h, "ar_weights": omega,
                     "iteration": q}
         w, iters = _update_spatial(x_work, w, h, weights, a,
-                                   config.block_limit("spatial"),
-                                   config.block_delta("spatial"),
-                                   config.step_safety)
+                                   config.q_block_max,
+                                   config.block_delta("spatial"))
         _check_finite("spatial", w, q, snapshot)
         counts["spatial"].append(iters)
 
         h, iters = _update_latent(x_work, w, h, omega, config.lag_set, weights,
-                                  config.block_limit("latent"),
-                                  config.block_delta("latent"),
-                                  config.step_safety)
+                                  config.q_block_max,
+                                  config.block_delta("latent"))
         _check_finite("latent", h, q, snapshot)
         counts["latent"].append(iters)
 
         if weights.lambda_temporal > 0 and len(config.lag_set) > 0:
             omega, iters = _update_ar(h, omega, config.lag_set,
-                                      config.block_limit("ar"),
-                                      config.block_delta("ar"),
-                                      config.step_safety)
+                                      weights.lambda_temporal,
+                                      config.q_block_max,
+                                      config.block_delta("ar"))
             _check_finite("ar_weights", omega, q, snapshot)
             counts["ar"].append(iters)
         else:

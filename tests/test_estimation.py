@@ -215,6 +215,14 @@ def test_em_floors_zero_denominator(caplog):
                         EstimatorConfig(r_max_em=3))
     assert any("floored" in rec.message for rec in caplog.records)
     assert np.isfinite(out).all() and out.min() >= 0
+    # the coupled first two flows keep EM moving for all three iterations,
+    # and the floor is logged once per call, not once per iteration
+    caplog.clear()
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    with caplog.at_level(logging.WARNING, logger="ttnmf.estimation"):
+        refine_em(np.array([1.0, 1.0, 0.0]), np.array([3.0, 2.0, 2.0]), a,
+                  EstimatorConfig(r_max_em=3))
+    assert sum("floored" in rec.message for rec in caplog.records) == 1
 
 
 def test_em_shape_mismatch():

@@ -4,6 +4,7 @@ Covers:
   - LagSet validation and ordering
   - lag design matrix against hand-worked values
   - temporal graph vs. the direct AR-residual sum (cross-form oracle)
+  - vectorised temporal gradient vs. the per-row graph gradient
   - Laplacian/weight-matrix structure (symmetry, no self loops, row sums)
   - orthogonality penalty hand values and the zero <=> orthonormal property
   - objective_value as the sum of independently computed terms, permutation
@@ -17,7 +18,7 @@ from ttnmf.errors import ConfigError, ShapeError, UsageError
 from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
                            build_lag_design_matrix, build_temporal_graph,
                            objective_value, ortho_penalty_value,
-                           temporal_penalty_value)
+                           temporal_penalty_gradient, temporal_penalty_value)
 
 
 def _residual_penalty(latent, ar, lag_set):
@@ -174,6 +175,28 @@ def test_temporal_graph_gradient_matches_fd():
         dn[t] -= eps
         fd = (graph.penalty(up) - graph.penalty(dn)) / (2 * eps)
         assert grad[t] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+def test_temporal_gradient_matches_graph_oracle():
+    rng = np.random.default_rng(6)
+    for trial in range(60):
+        lags = sorted(rng.choice(np.arange(1, 30), size=rng.integers(1, 6),
+                                 replace=False).tolist())
+        ls = LagSet(lags)
+        # the shortest window (one residual) on every third trial
+        T = ls.max_lag + 1
+        if trial % 3:
+            T = int(rng.integers(ls.max_lag + 1, 80))
+        k = int(rng.integers(1, 5))
+        latent = rng.random((k, T)) * 3
+        ar = rng.random((k, len(ls)))
+        ar[0] = 0.0  # a row with all AR weights zero
+        grad = temporal_penalty_gradient(latent, ar, ls)
+        assert grad.shape == latent.shape
+        for p in range(k):
+            oracle = build_temporal_graph(ar[p], ls, T).gradient(latent[p])
+            err = np.linalg.norm(grad[p] - oracle)
+            assert err <= 1e-12 * np.linalg.norm(oracle), (lags, T, p)
 
 
 def test_temporal_graph_validation():

@@ -25,7 +25,6 @@ from ttnmf.network import (LinkFlowMatrix, RoutingMatrix, TrafficMatrix,
 def test_routing_accepts_binary():
     r = RoutingMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert r.n_links == 2 and r.n_pairs == 2
-    assert not r.underdetermined
 
 
 def test_routing_rejects_non_binary():
