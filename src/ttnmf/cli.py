@@ -18,7 +18,7 @@ from . import fileio
 from .errors import (ConfigError, NumericalFailure, ParseError, ShapeError,
                      UsageError, ValidationError)
 from .estimation import EstimatorConfig, estimate_od_flows
-from .factors import LagSet, RegularizationWeights
+from .factors import LagSet
 from .fileio import (ModelArchive, format_float, load_matrix_csv, load_model,
                      parse_config_file, save_model, sha256_hex, write_matrix_csv)
 from .metrics import cdf_points, sre, summary_stats, tre
@@ -99,9 +99,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--model")
     p.add_argument("--linkflows")
-    p.add_argument("--q-max-gd", dest="q_max_gd", type=int)
     p.add_argument("--r-max-em", dest="r_max_em", type=int)
-    p.add_argument("--delta-gd", dest="delta_gd", type=float)
     p.add_argument("--delta-em", dest="delta_em", type=float)
 
     p = sub.add_parser("evaluate", help="compare estimated and true OD flows")
@@ -115,15 +113,14 @@ _DEFAULTS = {
     "routers": 6, "rank": 4, "n_timestamps": 400, "lags": "1,2",
     "noise": 0.05, "seed": 0, "split": None, "mask_fraction": 0.0,
     "beta_h": 0.2, "beta_a": 0.2, "missing_mode": "none", "q_max": 50,
-    "q_max_gd": 200, "r_max_em": 200,
-    "delta_gd": 1e-3, "delta_em": 1e-9,
+    "r_max_em": 200, "delta_em": 1e-9,
 }
 
 _CASTS = {
     "routers": int, "rank": int, "n_timestamps": int, "seed": int,
-    "split": int, "q_max": int, "q_max_gd": int, "r_max_em": int,
+    "split": int, "q_max": int, "r_max_em": int,
     "noise": float, "mask_fraction": float, "beta_h": float, "beta_a": float,
-    "delta_gd": float, "delta_em": float,
+    "delta_em": float,
 }
 
 
@@ -255,13 +252,7 @@ def _cmd_train(args) -> int:
         "traffic_sha256": sha256_hex(traffic.entries.tobytes()),
         "routing_sha256": sha256_hex(routing.entries.tobytes()),
     }
-    weights = RegularizationWeights(
-        lambda_temporal=report.final_penalties[0],
-        lambda_ortho=report.final_penalties[1],
-        beta_temporal=config.beta_temporal, beta_ortho=config.beta_ortho)
-    save_model(out / "model.ttnmf",
-               ModelArchive(model=model, weights=weights, routing=routing,
-                            provenance=provenance))
+    save_model(out / "model.ttnmf", ModelArchive(model, routing, provenance))
     with open(out / "trace.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("q,e_q,wall_ms\n")
         for q, (e, ms) in enumerate(zip(report.objective_trace,
@@ -285,8 +276,8 @@ def _cmd_estimate(args) -> int:
         raise ShapeError(
             f"link-flow matrix has {links.shape[0]} rows but the model was "
             f"trained with {archive.routing.n_links} links")
-    config = EstimatorConfig(q_max_gd=get("q_max_gd"), r_max_em=get("r_max_em"),
-                             delta_gd=get("delta_gd"), delta_em=get("delta_em"))
+    config = EstimatorConfig(r_max_em=get("r_max_em"),
+                             delta_em=get("delta_em"))
     estimates = estimate_od_flows(links, archive.model, archive.routing, config)
     out = _outdir(args)
     write_matrix_csv(out / "estimated.csv", estimates)

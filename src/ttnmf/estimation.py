@@ -1,4 +1,4 @@
-"""Per-timestamp OD flow estimation from link loads."""
+"""OD flow estimation from a window of link loads."""
 
 from __future__ import annotations
 
@@ -8,117 +8,115 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .factors import FactorModel, routing_array
-from .training import _nesterov_loop, _norm2
+from .factors import FactorModel, LagSet, routing_array
+from .training import _latent_block, _nesterov_loop
 
 logger = logging.getLogger(__name__)
+
+# window fit steps; error changes below WINDOW_NOISE ||Y||^2 are rounding
+WINDOW_ITERS = 200
+WINDOW_NOISE = 1e-13
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Iteration limits for the latent fit and the EM refinement."""
+    """Iteration limit and stop threshold of the EM refinement."""
 
-    q_max_gd: int = 200
     r_max_em: int = 200
-    delta_gd: float = 1e-3
     delta_em: float = 1e-9
 
     def __post_init__(self):
-        if self.q_max_gd < 1 or self.r_max_em < 0:
-            raise ConfigError("iteration limits must be positive")
-        if self.delta_gd <= 0 or self.delta_em <= 0:
-            raise ConfigError("stopping thresholds must be > 0")
+        if self.r_max_em < 0 or self.delta_em <= 0:
+            raise ConfigError("need r_max_em >= 0 and delta_em > 0")
 
 
-def estimate_latent(link_flows, model: FactorModel,
-                    config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
-    """Fit the latent vector h >= 0 to one link-flow column.
+def estimate_latent(link_flows, model: FactorModel) -> np.ndarray:
+    """Fit H >= 0 to a window Y of link flows (links x T).
 
-    Seeds with the back projection C^T y and runs restarted accelerated
-    projected descent on ||y - C h||^2 with step 1/(2 ||C^T C||_2); the
-    result never fits worse than the seed.
+    The training latent block with C = A W for W and Y for X, under the
+    trained AR weights and lambda_t, run from max(lstsq(C, Y), 0) for
+    WINDOW_ITERS steps unless the fit reaches 0; it fits Y no worse than that
+    start, up to WINDOW_NOISE ||Y||^2.  Windows of max_lag columns or fewer
+    have no AR residual, so each column is fitted as it would be alone.
     """
-    y = np.asarray(link_flows, dtype=float).reshape(-1)
+    y = np.asarray(link_flows, dtype=float)
     compact = model.compact_routing
+    if y.ndim != 2:
+        raise ShapeError("link flows must be 2-D (links x timestamps)")
     if y.shape[0] != compact.shape[0]:
-        raise ShapeError(
-            f"link flows have {y.shape[0]} entries, compact routing has "
-            f"{compact.shape[0]} rows")
+        raise ShapeError(f"link flows have {y.shape[0]} rows, compact "
+                         f"routing has {compact.shape[0]}")
     if not compact.any():
-        logger.warning("compact routing matrix is all zero; returning h = 0")
-        return np.zeros(compact.shape[1])
-    h0 = compact.T @ y
-    gram = compact.T @ compact
-    cty = h0
-    lip = 2.0 * _norm2(gram)  # hessian of err is 2 C^T C
-
-    def grad(v):
-        return 2.0 * (gram @ v - cty)
-
-    def err(b):
-        r = y - compact @ b
-        return float(r @ r)
-
-    eps_min = config.delta_gd * float(y @ y)
-    h, _ = _nesterov_loop(h0, grad, err, lip, config.q_max_gd, abs_tol=eps_min)
+        logger.warning("compact routing matrix is all zero; returning H = 0")
+        return np.zeros((compact.shape[1], y.shape[1]))
+    h0 = np.maximum(np.linalg.lstsq(compact, y, rcond=None)[0], 0.0)
+    lag_set = model.lag_set if y.shape[1] > model.lag_set.max_lag else LagSet()
+    h, iters = _nesterov_loop(
+        h0, *_latent_block(y, compact, model.ar_weights, lag_set,
+                           model.weights, by_column=True),
+        WINDOW_ITERS, noise=WINDOW_NOISE)
+    logger.info("window fit: %d columns, %d iterations%s", y.shape[1], iters,
+                " (cap reached)" if iters == WINDOW_ITERS else "")
     return h
 
 
 def refine_em(x0, link_flows, routing,
               config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
-    """Multiplicative EM refinement of an OD flow vector against y = A x.
+    """Multiplicative EM refinement of OD flows against Y = A X.
 
-    Columns of A with zero sum are held fixed; a zero denominator on a link
-    with positive load is floored at 1e-12 (and logged once per call).  The
-    update is scale-equivariant and leaves exact solutions of A x = y
-    unchanged.
+    x0 and link_flows are vectors or one column per timestamp; a column stops
+    once its move is below delta_em ||x0||^2.  Columns of A with zero sum are
+    held fixed; a zero denominator on a link with positive load is floored at
+    1e-12 (and logged once per call).  The update is scale-equivariant and
+    leaves exact solutions of A x = y unchanged.
     """
     a = routing_array(routing)
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    y = np.asarray(link_flows, dtype=float).reshape(-1)
-    if a.shape != (y.shape[0], x.shape[0]):
-        raise ShapeError(
-            f"routing shape {a.shape} != ({y.shape[0]}, {x.shape[0]})")
+    vector = np.ndim(x0) == 1
+    x = np.array(x0, dtype=float).reshape(len(x0), -1)
+    y = np.asarray(link_flows, dtype=float).reshape(len(link_flows), -1)
+    if a.shape != (y.shape[0], x.shape[0]) or x.shape[1] != y.shape[1]:
+        raise ShapeError(f"routing {a.shape}, flows {x.shape} and link flows "
+                         f"{y.shape} do not match")
     col = a.sum(axis=0)
     fixed = col == 0
-    col_div = np.where(fixed, 1.0, col)
-    eps_min = config.delta_em * float(x @ x)
-    loaded = y > 0
+    col_div = np.where(fixed, 1.0, col)[:, None]
+    eps_min = config.delta_em * np.einsum("ij,ij->j", x, x)
+    cols = np.arange(x.shape[1])  # columns still moving
     floored = 0
     for _ in range(config.r_max_em):
-        ax = a @ x
-        zero = ax == 0.0
-        hit = zero & loaded
-        if hit.any():
-            floored = max(floored, int(hit.sum()))
-        ratio = y / np.where(zero, 1e-12, ax)
-        x_new = np.where(fixed, x, x / col_div * (a.T @ ratio))
-        move = x_new - x
-        x = x_new
-        if float(move @ move) < eps_min:
+        if not cols.size:
             break
+        xa, ya = x[:, cols], y[:, cols]
+        ax = a @ xa
+        zero = ax == 0.0
+        hit = zero & (ya > 0)
+        if hit.any():
+            floored = max(floored, int(hit.sum(axis=0).max()))
+        ax[zero] = 1e-12
+        x_new = a.T @ np.divide(ya, ax, out=ax)
+        x_new[fixed] = 1.0  # x * 1 / 1: unrouted flows stay exactly as they are
+        x_new *= xa
+        x_new /= col_div
+        x[:, cols] = x_new
+        xa -= x_new
+        cols = cols[np.einsum("ij,ij->j", xa, xa) >= eps_min[cols]]
     if floored:
-        logger.warning("refine_em: up to %d links had zero predicted load but "
-                       "positive observation; denominator floored", floored)
-    return x
-
-
-def estimate_od_flow(link_flows, model: FactorModel, routing,
-                     config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
-    """Estimate one OD flow column from one link-flow column."""
-    h = estimate_latent(link_flows, model, config)
-    x0 = model.spatial @ h
-    return refine_em(x0, link_flows, routing, config)
+        logger.warning("refine_em: up to %d links of a column had zero "
+                       "predicted load but positive observation; denominator "
+                       "floored", floored)
+    return x[:, 0] if vector else x
 
 
 def estimate_od_flows(link_flows, model: FactorModel, routing,
                       config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
-    """Column-by-column estimation over a link-flow matrix."""
-    y = getattr(link_flows, "entries", link_flows)
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise ShapeError("link flows must be 2-D")
-    out = np.zeros((model.n_flows, y.shape[1]))
-    for t in range(y.shape[1]):
-        out[:, t] = estimate_od_flow(y[:, t], model, routing, config)
-    return out
+    """The latent window fit, then EM refinement of W H, for links x T."""
+    y = np.asarray(getattr(link_flows, "entries", link_flows), dtype=float)
+    return refine_em(model.spatial @ estimate_latent(y, model), y, routing,
+                     config)
+
+
+def estimate_od_flow(link_flows, model: FactorModel, routing,
+                     config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
+    """estimate_od_flows on a window of one column."""
+    return estimate_od_flows(np.reshape(link_flows, (-1, 1)), model, routing,
+                             config)[:, 0]

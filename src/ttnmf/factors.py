@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeError, UsageError, ValidationError
+
+if TYPE_CHECKING:  # imported where used, so the CLI never loads scipy
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -79,6 +82,7 @@ class TemporalGraph:
 
     def weight_matrix(self) -> sp.csr_matrix:
         """Symmetric edge-weight matrix S (no self loops)."""
+        import scipy.sparse as sp
         T = self.n_timestamps
         if not self.bands:
             return sp.csr_matrix((T, T))
@@ -107,6 +111,7 @@ def build_temporal_graph(ar_row, lag_set: LagSet, n_timestamps: int) -> Temporal
     diagonal correction reproduces the AR residual sum exactly, boundary
     effects included.
     """
+    import scipy.sparse as sp
     T = int(n_timestamps)
     if T < 1:
         raise ConfigError(f"need at least one timestamp, got {T}")
@@ -183,16 +188,18 @@ def build_lag_design_matrix(latent: np.ndarray, row: int, lag_set: LagSet) -> np
 
 @dataclass(frozen=True)
 class FactorModel:
-    """Trained factors plus the cached compact routing matrix."""
+    """Trained factors, their penalty weights and the cached compact routing."""
 
     spatial: np.ndarray         # n x k
     latent: np.ndarray          # k x T
     ar_weights: np.ndarray      # k x len(lag_set)
     lag_set: LagSet
     compact_routing: np.ndarray  # m x k, equals routing @ spatial
+    weights: RegularizationWeights = RegularizationWeights()
 
     @classmethod
-    def from_factors(cls, spatial, latent, ar_weights, lag_set, routing) -> "FactorModel":
+    def from_factors(cls, spatial, latent, ar_weights, lag_set, routing,
+                     weights=RegularizationWeights()) -> "FactorModel":
         spatial = np.ascontiguousarray(spatial, dtype=float)
         latent = np.ascontiguousarray(latent, dtype=float)
         ar_weights = np.ascontiguousarray(ar_weights, dtype=float)
@@ -212,7 +219,8 @@ class FactorModel:
                           ("ar_weights", ar_weights)):
             if arr.size and arr.min() < 0:
                 raise ValidationError(f"{name} factor has negative entries")
-        return cls(spatial, latent, ar_weights, lag_set, routing_arr @ spatial)
+        return cls(spatial, latent, ar_weights, lag_set, routing_arr @ spatial,
+                   weights)
 
     @property
     def rank(self) -> int:

@@ -17,6 +17,7 @@ ARCHIVE_MAGIC = "TTNMF-MODEL"
 ARCHIVE_VERSION = 1
 
 _KINDS = ("routing", "traffic", "link", "mask")
+_WEIGHTS = ("lambda_temporal", "lambda_ortho", "beta_temporal", "beta_ortho")
 
 
 def format_float(v) -> str:
@@ -117,7 +118,6 @@ class ModelArchive:
     """Everything needed to run estimation, plus training provenance."""
 
     model: FactorModel
-    weights: RegularizationWeights
     routing: RoutingMatrix
     provenance: dict = field(default_factory=dict)
     version: int = ARCHIVE_VERSION
@@ -132,11 +132,7 @@ def save_model(path, archive: ModelArchive) -> None:
         f"dims {m.n_flows} {m.rank} {m.n_timestamps} "
         f"{archive.routing.n_links}",
         f"lags {lags}",
-        f"lambda_temporal {format_float(archive.weights.lambda_temporal)}",
-        f"lambda_ortho {format_float(archive.weights.lambda_ortho)}",
-        f"beta_temporal {format_float(archive.weights.beta_temporal)}",
-        f"beta_ortho {format_float(archive.weights.beta_ortho)}",
-    ]
+    ] + [f"{key} {format_float(getattr(m.weights, key))}" for key in _WEIGHTS]
     for key in sorted(archive.provenance):
         header.append(f"prov {key} {archive.provenance[key]}")
     matrices = [
@@ -217,13 +213,9 @@ def load_model(path) -> ModelArchive:
     lag_set = LagSet(()) if lag_text == "-" else \
         LagSet(tuple(int(v) for v in lag_text.split(",")))
     weights = RegularizationWeights(
-        lambda_temporal=float(fields["lambda_temporal"][0]),
-        lambda_ortho=float(fields["lambda_ortho"][0]),
-        beta_temporal=float(fields["beta_temporal"][0]),
-        beta_ortho=float(fields["beta_ortho"][0]),
-    )
+        **{key: float(fields[key][0]) for key in _WEIGHTS})
     routing = RoutingMatrix(matrices["routing"])
     model = FactorModel.from_factors(matrices["spatial"], matrices["latent"],
-                                     matrices["ar_weights"], lag_set, routing)
-    return ModelArchive(model=model, weights=weights, routing=routing,
-                        provenance=provenance)
+                                     matrices["ar_weights"], lag_set, routing,
+                                     weights)
+    return ModelArchive(model=model, routing=routing, provenance=provenance)

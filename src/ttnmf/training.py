@@ -22,6 +22,8 @@ from .network import TrafficMatrix
 logger = logging.getLogger(__name__)
 
 BLOCKS = ("spatial", "latent", "ar")
+# penalty-free outer iterations on EM-filled gappy data before tune_penalties
+EM_WARMUP_ITERS = 10
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class TrainReport:
 
     objective_trace: list
     block_iteration_counts: dict
-    final_penalties: tuple
     wall_time: float
     iteration_wall_ms: list = field(default_factory=list)
 
@@ -87,30 +88,38 @@ def _norm2(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def next_momentum(alpha: float) -> float:
-    """Accelerated-gradient momentum schedule."""
-    return 0.5 * (1.0 + math.sqrt(4.0 * alpha * alpha + 1.0))
+def next_momentum(alpha):
+    """Accelerated-gradient momentum schedule (elementwise on arrays)."""
+    sqrt = math.sqrt if isinstance(alpha, float) else np.sqrt
+    return 0.5 * (1.0 + sqrt(4.0 * alpha * alpha + 1.0))
 
 
-def _nesterov_loop(b0, grad, err, lip, q_max, rel_tol=None, abs_tol=None):
+def _nesterov_loop(b0, grad, err, lip, q_max, rel_tol=None, noise=0.0):
     """Restarted accelerated projected descent on one block.
 
-    grad() is evaluated at the extrapolated point; the error measure is
-    checked at the main iterate.  On an error increase the extrapolation
-    collapses onto the best accepted iterate and the momentum restarts, so the
-    returned iterate never measures worse than the entry point.  Returns
-    (best iterate, iterations used).
+    grad() is evaluated at the extrapolated point, err at the main iterate.
+    An error rise above noise * err(0) restarts the momentum from the best
+    iterate, so errors that differ by rounding take the same steps, and the
+    result measures at most that slack above the entry point.  An err with
+    one value per column, of a block that separates over columns, gives each
+    column its own momentum, restarts and stop.  Without rel_tol the loop
+    stops only at q_max or an error of 0.  Returns (best iterate, iterations).
     """
     e_prev = err(b0)
-    eps_min = rel_tol * e_prev if rel_tol is not None else abs_tol
+    columns = np.ndim(e_prev) > 0
+    where = np.where if columns else (lambda m, x, y: x if m else y)
+    any_, minimum = (np.any, np.minimum) if columns else (bool, min)
+    eps_min = rel_tol * e_prev if rel_tol is not None else -np.inf
+    slack = noise * err(np.zeros_like(b0)) if noise else 0.0
     step = 1.0 / lip
-    b = b0
-    c = b0
-    b_best, e_best = b0, e_prev
-    alpha_prev = 1.0
+    b = c = b_best = b0
+    e_best = e_prev
+    alpha_prev = np.ones_like(e_prev) if columns else 1.0
+    active = np.ones_like(e_prev, dtype=bool) if columns else True
     n = 0
     while n < q_max:
-        if e_best == 0.0:
+        active = active & (e_best != 0.0)
+        if not any_(active):
             break
         n += 1
         alpha = next_momentum(alpha_prev)
@@ -118,17 +127,19 @@ def _nesterov_loop(b0, grad, err, lip, q_max, rel_tol=None, abs_tol=None):
         c = b_new + ((alpha_prev - 1.0) / alpha) * (b_new - b)
         e_curr = err(b_new)
         eps = e_prev - e_curr
-        if eps < 0.0:
-            c = b_best
-            alpha = 1.0
-            e_curr = e_prev
-        elif e_curr <= e_best:
-            b_best, e_best = b_new, e_curr
+        restart = eps < -slack
+        if any_(restart):
+            c = where(restart, b_best, c)
+            alpha = where(restart, 1.0, alpha)
+            e_curr = where(restart, e_prev, e_curr)
+        better = active & (eps >= -slack) & (e_curr <= e_best + slack)
+        if any_(better):
+            b_best = where(better, b_new, b_best)
+            e_best = where(better, minimum(e_curr, e_best), e_best)
         b = b_new
         alpha_prev = alpha
         e_prev = e_curr
-        if not (eps < 0.0 or eps >= eps_min):
-            break
+        active = active & (restart | (eps >= eps_min))
     return b_best, n
 
 
@@ -161,17 +172,20 @@ def _spatial_block(x, h, weights, a):
     return grad, err, _positive(2.0 * _norm2(hht))
 
 
-def _latent_block(x, w, omega, lag_set, weights):
+def _latent_block(x, w, omega, lag_set, weights, by_column=False):
     """(grad, err, lip) of the latent block with W and the AR weights fixed.
 
-    err is the data fit.  The temporal Hessian is block-diagonal over rows,
-    with blocks M_p^T M_p for the AR residual operator M_p of row p, and
-    ||M_p||_2 <= 1 + sum_l |w_p(l)|; so lip = 2||W^T W||_2 +
-    lambda_t max_p (1 + sum_l |w_p(l)|)^2 is a valid bound.
+    err is the data fit; with by_column and no temporal term, where the block
+    separates over columns, it is the data fit of each column.  The temporal
+    Hessian is block-diagonal over rows, with blocks M_p^T M_p for the AR
+    residual operator M_p of row p, and ||M_p||_2 <= 1 + sum_l |w_p(l)|; so
+    lip = 2||W^T W||_2 + lambda_t max_p (1 + sum_l |w_p(l)|)^2 is a valid
+    bound.
     """
     wtw = w.T @ w
     wtx = w.T @ x
     lam = weights.lambda_temporal if len(lag_set) > 0 else 0.0
+    per_column = by_column and lam == 0
     lip = 2.0 * _norm2(wtw)
     if lam > 0:
         lip += lam * float(np.max((1.0 + np.abs(omega).sum(axis=1)) ** 2))
@@ -183,7 +197,8 @@ def _latent_block(x, w, omega, lag_set, weights):
         return g
 
     def err(b):
-        return _frob2(x - w @ b)
+        r = x - w @ b
+        return np.einsum("ij,ij->j", r, r) if per_column else _frob2(r)
 
     return grad, err, _positive(lip)
 
@@ -264,14 +279,10 @@ def _update_latent(x, w, h, omega, lag_set, weights, q_max, delta):
 
 
 def _update_ar(h, omega, lag_set, lam, q_max, delta):
-    new = omega.copy()
-    total_iters = 0
-    for p in range(h.shape[0]):
-        new[p], iters = _nesterov_loop(omega[p],
-                                       *_ar_block(h, p, lag_set, lam),
-                                       q_max, rel_tol=delta)
-        total_iters += iters
-    return new, total_iters
+    rows = [_nesterov_loop(omega[p], *_ar_block(h, p, lag_set, lam), q_max,
+                           rel_tol=delta) for p in range(h.shape[0])]
+    return (np.reshape([r for r, _ in rows], omega.shape),
+            sum(n for _, n in rows))
 
 
 def fast_gradient_update(block: str, x, model: FactorModel,
@@ -295,10 +306,14 @@ def fast_gradient_update(block: str, x, model: FactorModel,
 
 def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,
                    beta_temporal: float, beta_ortho: float, routing):
-    """Scale the penalty weights against the initial data fit.
+    """Scale the penalty weights against the data fit at the seed.
 
-    lambda = beta * ||X - W0 H0||_F^2 / (penalty measure at the seed); a
-    denominator below 1e-15 of the numerator zeroes the lambda with a warning.
+    lambda = beta * ||X - W0 H0||_F^2 / den.  For the orthogonality term den
+    is ortho_penalty_value(A W0); for the temporal term it is the AR block's
+    error summed over rows, the full-length residual sum_p ||h_p - w_p
+    design_p||^2 with the design zero-padded before max_lag and no factor
+    1/2 (not temporal_penalty_value).  A den below 1e-15 of the numerator
+    zeroes the lambda with a warning.
     """
     x = np.asarray(x, dtype=float)
     a = routing_array(routing)
@@ -318,11 +333,8 @@ def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,
             logger.info("empty lag set: temporal penalty disabled")
         lam_t = 0.0
     else:
-        den_t = 0.0
-        for p in range(latent0.shape[0]):
-            design = build_lag_design_matrix(latent0, p, lag_set)
-            resid = latent0[p] - ar0[p] @ design
-            den_t += float(resid @ resid)
+        den_t = sum(_ar_block(latent0, p, lag_set, 0.0)[1](ar0[p])
+                    for p in range(latent0.shape[0]))
         lam_t = ratio(beta_temporal, den_t, "temporal")
     den_o = ortho_penalty_value(a @ spatial0)
     lam_o = ratio(beta_ortho, den_o, "orthogonality")
@@ -397,11 +409,31 @@ def _check_finite(name, arr, iteration, snapshot):
             snapshot=snapshot)
 
 
+def _outer_iteration(x, w, h, omega, weights, a, config, q):
+    """Outer iteration q: W, H, then Omega if there is a temporal term, each
+    checked for non-finite values.  Returns (w, h, omega, block iterations)."""
+    snapshot = {"spatial": w, "latent": h, "ar_weights": omega, "iteration": q}
+    w, it_s = _update_spatial(x, w, h, weights, a, config.q_block_max,
+                              config.block_delta("spatial"))
+    _check_finite("spatial", w, q, snapshot)
+    h, it_l = _update_latent(x, w, h, omega, config.lag_set, weights,
+                             config.q_block_max, config.block_delta("latent"))
+    _check_finite("latent", h, q, snapshot)
+    it_a = 0
+    if weights.lambda_temporal > 0 and len(config.lag_set) > 0:
+        omega, it_a = _update_ar(h, omega, config.lag_set,
+                                 weights.lambda_temporal, config.q_block_max,
+                                 config.block_delta("ar"))
+        _check_finite("ar_weights", omega, q, snapshot)
+    return w, h, omega, (it_s, it_l, it_a)
+
+
 def train(traffic, routing, config: TrainConfig):
     """Fit a FactorModel to (possibly gappy) traffic data.
 
-    Returns (FactorModel, TrainReport).  The objective trace records the
-    data-fit error after every outer iteration and never increases.
+    Returns (FactorModel, TrainReport); the model carries the penalty weights
+    it was trained with.  The objective trace records the data-fit error
+    after every outer iteration and never increases.
     """
     config.validate()
     if isinstance(traffic, np.ndarray):
@@ -425,16 +457,21 @@ def train(traffic, routing, config: TrainConfig):
         gappy = False
     em_active = config.missing_mode == "em_mask" and gappy
 
-    x_init = mask * x if em_active else x
-    w, h = init_factors_svd(x_init, config.rank)
-    omega = init_lag_weights(h, config.lag_set)
-    lam_t, lam_o = tune_penalties(x_init, w, h, omega, config.lag_set,
-                                  config.beta_temporal, config.beta_ortho, a)
-    weights = RegularizationWeights(
-        lambda_temporal=lam_t, lambda_ortho=lam_o,
-        beta_temporal=config.beta_temporal, beta_ortho=config.beta_ortho)
-
+    w, h = init_factors_svd(mask * x if em_active else x, config.rank)
+    if em_active:
+        # penalties tuned at the zero-filled seed come out far too strong,
+        # so tune them after a penalty-free warm-up on the EM-filled data
+        for q in range(1, EM_WARMUP_ITERS + 1):
+            w, h, _, _ = _outer_iteration(em_mask_step(x, mask, w, h), w, h,
+                                          None, RegularizationWeights(), a,
+                                          config, q)
     x_work = em_mask_step(x, mask, w, h) if em_active else x
+    omega = init_lag_weights(h, config.lag_set)
+    lam_t, lam_o = tune_penalties(x_work, w, h, omega, config.lag_set,
+                                  config.beta_temporal, config.beta_ortho, a)
+    weights = RegularizationWeights(lam_t, lam_o, config.beta_temporal,
+                                    config.beta_ortho)
+
     trace = [_frob2(x_work - w @ h)]
     wall_ms = [0.0]
     eps_min = config.delta * trace[0]
@@ -443,42 +480,15 @@ def train(traffic, routing, config: TrainConfig):
     for q in range(1, config.q_max + 1):
         if em_active:
             x_work = em_mask_step(x, mask, w, h)
-        snapshot = {"spatial": w, "latent": h, "ar_weights": omega,
-                    "iteration": q}
-        w, iters = _update_spatial(x_work, w, h, weights, a,
-                                   config.q_block_max,
-                                   config.block_delta("spatial"))
-        _check_finite("spatial", w, q, snapshot)
-        counts["spatial"].append(iters)
-
-        h, iters = _update_latent(x_work, w, h, omega, config.lag_set, weights,
-                                  config.q_block_max,
-                                  config.block_delta("latent"))
-        _check_finite("latent", h, q, snapshot)
-        counts["latent"].append(iters)
-
-        if weights.lambda_temporal > 0 and len(config.lag_set) > 0:
-            omega, iters = _update_ar(h, omega, config.lag_set,
-                                      weights.lambda_temporal,
-                                      config.q_block_max,
-                                      config.block_delta("ar"))
-            _check_finite("ar_weights", omega, q, snapshot)
-            counts["ar"].append(iters)
-        else:
-            counts["ar"].append(0)
-
+        w, h, omega, iters = _outer_iteration(x_work, w, h, omega, weights, a,
+                                              config, q)
+        for b, n_b in zip(BLOCKS, iters):
+            counts[b].append(n_b)
         trace.append(_frob2(x_work - w @ h))
         wall_ms.append((time.perf_counter() - t0) * 1000.0)
         eps = trace[-2] - trace[-1]
         if not (eps < 0.0 or eps >= eps_min):
             break
 
-    model = FactorModel.from_factors(w, h, omega, config.lag_set, a)
-    report = TrainReport(
-        objective_trace=trace,
-        block_iteration_counts=counts,
-        final_penalties=(lam_t, lam_o),
-        wall_time=time.perf_counter() - t0,
-        iteration_wall_ms=wall_ms,
-    )
-    return model, report
+    model = FactorModel.from_factors(w, h, omega, config.lag_set, a, weights)
+    return model, TrainReport(trace, counts, time.perf_counter() - t0, wall_ms)

@@ -205,6 +205,18 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "rnak" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["q_max_gd", "delta_gd"])
+def test_removed_estimator_knob_exits_1(tmp_path, capsys, key):
+    # the latent fit has no knobs; its old settings are unknown now
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=1\n")
+    assert main(["estimate", "--out", str(tmp_path / "r"),
+                 "--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+    assert main(["estimate", "--out", str(tmp_path / "r"),
+                 "--" + key.replace("_", "-"), "1"]) == 1
+
+
 def test_bad_config_value_exits_1(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rank=four\n")
@@ -226,7 +238,7 @@ def test_profile_sets_lags_with_flag_override(tmp_path):
     archive = load_model(run / "model.ttnmf")
     assert archive.model.lag_set.lags == (1, 4, 8, 32, 34, 36, 96)
     assert archive.model.rank == 3  # flag beats the profile's rank of 20
-    assert archive.weights.beta_temporal == pytest.approx(0.1)
+    assert archive.model.weights.beta_temporal == pytest.approx(0.1)
 
 
 def test_unknown_profile_exits_1(tmp_path, capsys):

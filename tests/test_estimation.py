@@ -2,9 +2,10 @@
 
 Covers:
   - config validation
-  - latent fit: orthonormal exact recovery, zero input, all-zero compact
-    routing guard, never-worse-than-seed, nonneg least-squares residual vs.
-    exhaustive active-set enumeration and scipy's solver
+  - latent window fit: orthonormal exact recovery, zero input, all-zero
+    compact routing guard, never-worse-than-seed, nonneg least-squares
+    residual vs. exhaustive active-set enumeration and scipy's solver, the
+    trained AR prior used only on windows longer than max_lag
   - EM refinement: exact fixed point, zero observation, boundary ML problem
     against a grid-search oracle, scale equivariance, zero-column skip,
     denominator floor logging
@@ -21,10 +22,7 @@ import scipy.optimize
 from ttnmf.errors import ConfigError, ShapeError
 from ttnmf.estimation import (EstimatorConfig, estimate_latent,
                               estimate_od_flow, estimate_od_flows, refine_em)
-from ttnmf.factors import FactorModel, LagSet
-
-_TIGHT = EstimatorConfig(q_max_gd=3000, r_max_em=500, delta_gd=1e-18,
-                         delta_em=1e-24)
+from ttnmf.factors import FactorModel, LagSet, RegularizationWeights
 
 
 def _orthonormal_model(n=6, k=3, T=4):
@@ -55,27 +53,40 @@ def _nnls_enumeration_oracle(c, y):
 def test_estimator_config_validation():
     EstimatorConfig()
     with pytest.raises(ConfigError):
-        EstimatorConfig(q_max_gd=0)
-    with pytest.raises(ConfigError):
-        EstimatorConfig(delta_gd=0.0)
+        EstimatorConfig(r_max_em=-1)
     with pytest.raises(ConfigError):
         EstimatorConfig(delta_em=-1.0)
 
 
 # ------------------------------------------------------------- latent fit
 
+def _random_model(rng, lam_t=0.0):
+    # 5 links, 8 OD pairs, rank 3, lags {1, 2}
+    routing = (rng.random((5, 8)) < 0.5).astype(float)
+    routing[rng.integers(0, 5, size=8), np.arange(8)] = 1.0
+    return FactorModel.from_factors(
+        rng.random((8, 3)), rng.random((3, 20)), rng.random((3, 2)),
+        LagSet((1, 2)), routing, RegularizationWeights(lambda_temporal=lam_t))
+
+
+def _column_fit(c, y):
+    """Latent fit of one column against compact routing c."""
+    model = FactorModel.from_factors(np.eye(c.shape[1]), np.ones((3, 2)),
+                                     np.zeros((3, 0)), LagSet(), c)
+    return estimate_latent(y[:, None], model)[:, 0]
+
+
 def test_latent_orthonormal_recovery():
     model = _orthonormal_model()
-    h_star = np.array([2.0, 0.5, 3.0])
-    y = model.compact_routing @ h_star
-    h = estimate_latent(y, model)
+    h_star = np.array([[2.0, 0.0, 1.0], [0.5, 1.0, 0.0], [3.0, 2.0, 0.25]])
+    h = estimate_latent(model.compact_routing @ h_star, model)
     np.testing.assert_allclose(h, h_star, atol=1e-12)
 
 
 def test_latent_zero_observation():
     model = _orthonormal_model()
-    h = estimate_latent(np.zeros(6), model)
-    assert not h.any()
+    h = estimate_latent(np.zeros((6, 2)), model)
+    assert h.shape == (3, 2) and not h.any()
 
 
 def test_latent_zero_compact_routing_warns(caplog):
@@ -83,35 +94,31 @@ def test_latent_zero_compact_routing_warns(caplog):
     model = FactorModel.from_factors(spatial, np.ones((2, 3)), np.zeros((2, 0)),
                                      LagSet(), np.zeros((3, 4)))
     with caplog.at_level(logging.WARNING, logger="ttnmf.estimation"):
-        h = estimate_latent(np.ones(3), model)
-    assert not h.any()
+        h = estimate_latent(np.ones((3, 5)), model)
+    assert h.shape == (2, 5) and not h.any()
     assert any("all zero" in rec.message for rec in caplog.records)
 
 
-def test_latent_never_worse_than_back_projection():
+def test_latent_never_worse_than_clipped_least_squares():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        m, n, k = 6, 10, 3
-        routing = (rng.random((m, n)) < 0.5).astype(float)
-        model = FactorModel.from_factors(rng.random((n, k)), rng.random((k, 5)),
-                                         np.zeros((k, 0)), LagSet(), routing)
-        y = rng.random(m) * 5
-        c = model.compact_routing
-        h = estimate_latent(y, model)
-        assert h.min() >= 0
-        seed_err = float(np.sum((y - c @ (c.T @ y)) ** 2))
-        assert float(np.sum((y - c @ h) ** 2)) <= seed_err * (1 + 1e-12)
+    for lam_t in (0.0, 3.0):
+        for _ in range(10):
+            model = _random_model(rng, lam_t)
+            c = model.compact_routing
+            y = rng.random((c.shape[0], 12)) * 5
+            h = estimate_latent(y, model)
+            assert h.min() >= 0
+            seed = np.maximum(np.linalg.lstsq(c, y, rcond=None)[0], 0.0)
+            assert (np.sum((y - c @ h) ** 2)
+                    <= np.sum((y - c @ seed) ** 2) * (1 + 1e-12))
 
 
 def test_latent_residual_matches_active_set_oracle_consistent():
     rng = np.random.default_rng(1)
     for _ in range(10):
         c = rng.random((6, 3))
-        h_star = rng.random(3)
-        y = c @ h_star  # consistent: optimal residual is 0
-        model = FactorModel.from_factors(np.eye(3), np.ones((3, 2)),
-                                         np.zeros((3, 0)), LagSet(), c)
-        h = estimate_latent(y, model, _TIGHT)
+        y = c @ rng.random(3)  # consistent: optimal residual is 0
+        h = _column_fit(c, y)
         oracle = _nnls_enumeration_oracle(c, y)
         assert oracle <= 1e-20
         assert float(np.sum((y - c @ h) ** 2)) <= oracle + 1e-6
@@ -122,10 +129,7 @@ def test_latent_residual_matches_oracles_inconsistent():
     for trial in range(10):
         c = rng.random((6, 3))
         y = rng.random(6) * 2  # generic: no exact nonneg solution
-        model = FactorModel.from_factors(np.eye(3), np.ones((3, 2)),
-                                         np.zeros((3, 0)), LagSet(), c)
-        h = estimate_latent(y, model, _TIGHT)
-        got = float(np.sum((y - c @ h) ** 2))
+        got = float(np.sum((y - c @ _column_fit(c, y)) ** 2))
         oracle = _nnls_enumeration_oracle(c, y)
         _, scipy_resid = scipy.optimize.nnls(c, y)
         assert oracle == pytest.approx(scipy_resid ** 2, rel=1e-8, abs=1e-12)
@@ -133,10 +137,32 @@ def test_latent_residual_matches_oracles_inconsistent():
         assert got >= oracle - 1e-9  # cannot beat the true optimum
 
 
+def test_latent_window_uses_trained_ar_prior():
+    # more than max_lag columns: the trained lambda_t changes the fit
+    base = _random_model(np.random.default_rng(20))
+    prior = _random_model(np.random.default_rng(20), lam_t=3.0)
+    y = np.random.default_rng(21).random((5, 12)) * 5
+    assert np.abs(estimate_latent(y, prior)
+                  - estimate_latent(y, base)).max() > 1e-6
+
+
+def test_latent_short_window_ignores_ar_prior():
+    # max_lag columns or fewer: no AR residual exists, so lambda_t is unused
+    base = _random_model(np.random.default_rng(20))
+    prior = _random_model(np.random.default_rng(20), lam_t=3.0)
+    rng = np.random.default_rng(22)
+    for width in (1, 2):
+        y = rng.random((5, width)) * 5
+        np.testing.assert_array_equal(estimate_latent(y, prior),
+                                      estimate_latent(y, base))
+
+
 def test_latent_shape_mismatch():
     model = _orthonormal_model()
     with pytest.raises(ShapeError):
-        estimate_latent(np.ones(5), model)
+        estimate_latent(np.ones((5, 2)), model)
+    with pytest.raises(ShapeError):
+        estimate_latent(np.ones(6), model)
 
 
 # ---------------------------------------------------------- EM refinement
@@ -225,9 +251,29 @@ def test_em_floors_zero_denominator(caplog):
     assert sum("floored" in rec.message for rec in caplog.records) == 1
 
 
+def test_em_batch_matches_columns():
+    # each column keeps its own stop rule: an exact column stops after one
+    # step while the others run on, as they would alone
+    rng = np.random.default_rng(7)
+    a = (rng.random((4, 7)) < 0.5).astype(float)
+    a[rng.integers(0, 4, size=7), np.arange(7)] = 1.0
+    x0 = rng.random((7, 5)) + 0.1
+    y = rng.random((4, 5)) * 3
+    y[:, 0] = a @ x0[:, 0]
+    cfg = EstimatorConfig(r_max_em=200, delta_em=1e-6)
+    batch = refine_em(x0, y, a, cfg)
+    for t in range(5):
+        np.testing.assert_allclose(batch[:, t],
+                                   refine_em(x0[:, t], y[:, t], a, cfg),
+                                   rtol=1e-12)
+    np.testing.assert_allclose(batch[:, 0], x0[:, 0], rtol=1e-12)
+
+
 def test_em_shape_mismatch():
     with pytest.raises(ShapeError):
         refine_em(np.ones(3), np.ones(2), np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        refine_em(np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2)))
 
 
 # --------------------------------------------------------------- end to end
@@ -262,17 +308,22 @@ def test_od_flow_nonnegative_on_random_inputs():
 
 
 def test_od_flows_batch_matches_columnwise():
+    # with no temporal term (no lags, or lambda_t = 0 on a window longer
+    # than max_lag) each column gets the estimate it gets alone
     rng = np.random.default_rng(6)
     m, n, k, T = 5, 8, 3, 6
     routing = (rng.random((m, n)) < 0.5).astype(float)
-    model = FactorModel.from_factors(rng.random((n, k)), rng.random((k, 4)),
-                                     np.zeros((k, 0)), LagSet(), routing)
+    spatial, latent = rng.random((n, k)), rng.random((k, 4))
     y = rng.random((m, T)) * 4
-    batch = estimate_od_flows(y, model, routing)
-    assert batch.shape == (n, T)
-    for t in range(T):
-        np.testing.assert_array_equal(batch[:, t],
-                                      estimate_od_flow(y[:, t], model, routing))
+    for lags in (LagSet(), LagSet((1, 2))):
+        model = FactorModel.from_factors(spatial, latent,
+                                         rng.random((k, len(lags))), lags,
+                                         routing)
+        batch = estimate_od_flows(y, model, routing)
+        assert batch.shape == (n, T)
+        for t in range(T):
+            column = estimate_od_flow(y[:, t], model, routing)
+            np.testing.assert_allclose(batch[:, t], column, rtol=1e-12)
 
 
 def test_od_flow_held_out_timestamp_meets_frozen_bound():

@@ -118,13 +118,12 @@ def _small_archive():
     spatial = rng.random((6, 3))
     latent = rng.random((3, 10))
     ar = rng.random((3, 2))
-    model = FactorModel.from_factors(spatial, latent, ar, LagSet((1, 2)),
-                                     routing)
     weights = RegularizationWeights(lambda_temporal=0.37, lambda_ortho=1.25,
                                     beta_temporal=0.2, beta_ortho=0.3)
+    model = FactorModel.from_factors(spatial, latent, ar, LagSet((1, 2)),
+                                     routing, weights)
     prov = {"traffic_sha256": "ab" * 32, "note": "round trip"}
-    return ModelArchive(model=model, weights=weights, routing=routing,
-                        provenance=prov)
+    return ModelArchive(model=model, routing=routing, provenance=prov)
 
 
 def test_archive_round_trip_bit_exact(tmp_path):
@@ -136,7 +135,8 @@ def test_archive_round_trip_bit_exact(tmp_path):
         assert (getattr(back.model, name) == getattr(arch.model, name)).all()
     assert (back.routing.entries == arch.routing.entries).all()
     assert back.model.lag_set.lags == (1, 2)
-    assert back.weights == arch.weights
+    assert back.model.weights == arch.model.weights
+    assert back.model.weights.lambda_ortho == 1.25
     assert back.provenance == arch.provenance
 
 

@@ -432,7 +432,7 @@ def test_train_without_penalties_is_plain_nmf():
     cfg = TrainConfig(rank=2, lag_set=LagSet([1]), beta_temporal=0.0,
                       beta_ortho=0.0, q_max=15)
     model, report = train(scen.traffic, scen.routing, cfg)
-    assert report.final_penalties == (0.0, 0.0)
+    assert model.weights.lambda_temporal == model.weights.lambda_ortho == 0.0
     # ar block is skipped entirely when the temporal penalty is off
     assert all(c == 0 for c in report.block_iteration_counts["ar"])
     # final fit never worse than the seed fit
