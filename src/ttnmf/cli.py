@@ -46,16 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_lags(text) -> LagSet:
-    text = (text or "").strip()
-    if not text or text == "-":
-        return LagSet(())
-    try:
-        return LagSet(tuple(int(v) for v in text.split(",")))
-    except ValueError as exc:
-        raise ConfigError(f"bad lag list {text!r}: {exc}") from None
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ttnmf",
                      description="OD traffic estimation from link loads",
@@ -178,7 +168,7 @@ def _outdir(args) -> Path:
 def _cmd_synth(args) -> int:
     cfg = _load_config(args)
     get = lambda key: _setting(args, cfg, {}, key)
-    lag_set = _parse_lags(get("lags"))
+    lag_set = LagSet.from_text(get("lags"))
     scenario = generate_synthetic(
         n_routers=get("routers"), planted_rank=get("rank"),
         n_timestamps=get("n_timestamps"), planted_lags=lag_set,
@@ -237,7 +227,7 @@ def _cmd_train(args) -> int:
     lag_text = args.lags if args.lags is not None else cfg.get("lags")
     if lag_text is None:
         lag_text = profile.get("lags", "")
-    lag_set = _parse_lags(lag_text)
+    lag_set = LagSet.from_text(lag_text)
     config = TrainConfig(
         rank=get("rank"), lag_set=lag_set,
         beta_temporal=get("beta_h"), beta_ortho=get("beta_a"),
@@ -254,13 +244,15 @@ def _cmd_train(args) -> int:
     }
     save_model(out / "model.ttnmf", ModelArchive(model, routing, provenance))
     with open(out / "trace.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("q,e_q,wall_ms\n")
-        for q, (e, ms) in enumerate(zip(report.objective_trace,
-                                        report.iteration_wall_ms)):
-            fh.write(f"{q},{format_float(e)},{format_float(ms)}\n")
-    logger.info("train: %d outer iterations, final fit %.6g, wall %.2fs",
-                report.n_iterations, report.objective_trace[-1],
-                report.wall_time)
+        fh.write("q,e_q,f_q,wall_ms\n")
+        for q, (e, f, ms) in enumerate(zip(report.objective_trace,
+                                           report.penalized_trace,
+                                           report.iteration_wall_ms)):
+            fh.write(f"{q},{format_float(e)},{format_float(f)},"
+                     f"{format_float(ms)}\n")
+    logger.info("train: %d outer iterations (%s), final fit %.6g, "
+                "wall %.2fs", report.n_iterations, report.stop_reason,
+                report.objective_trace[-1], report.wall_time)
     return 0
 
 

@@ -36,6 +36,17 @@ class LagSet:
             raise ConfigError(f"lags must be distinct, got {lags}")
         object.__setattr__(self, "lags", tuple(sorted(lags)))
 
+    @classmethod
+    def from_text(cls, text) -> "LagSet":
+        """Parse a comma-separated lag list; "" or "-" is the empty set."""
+        text = (text or "").strip()
+        if not text or text == "-":
+            return cls(())
+        try:
+            return cls(tuple(int(v) for v in text.split(",")))
+        except ValueError as exc:
+            raise ConfigError(f"bad lag list {text!r}: {exc}") from None
+
     @property
     def max_lag(self) -> int:
         return self.lags[-1] if self.lags else 0
@@ -57,8 +68,9 @@ class RegularizationWeights:
     beta_ortho: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_temporal < 0 or self.lambda_ortho < 0:
-            raise ConfigError("penalty weights must be >= 0")
+        if not (0.0 <= self.lambda_temporal < np.inf
+                and 0.0 <= self.lambda_ortho < np.inf):
+            raise ConfigError("penalty weights must be finite and >= 0")
         # beta = 0 switches the corresponding penalty off (ablation mode)
         for b in (self.beta_temporal, self.beta_ortho):
             if not 0.0 <= b <= 1.0:
@@ -316,9 +328,11 @@ def ortho_penalty_value(compact_routing) -> float:
     return float(np.vdot(gram, gram))
 
 
-def objective_value(x, model: FactorModel, weights: RegularizationWeights,
-                    routing) -> float:
-    """Full regularized objective: data fit + temporal + orthogonality terms.
+def objective_terms(x, model: FactorModel, weights: RegularizationWeights,
+                    routing) -> tuple:
+    """The three terms of the regularized objective: (data fit, lambda_t *
+    temporal penalty, lambda_o * orthogonality penalty); a term whose lambda
+    is 0 is 0.
 
     The compact routing matrix is recomputed from `routing` and the current
     spatial factor so perturbed models evaluate consistently.
@@ -329,11 +343,18 @@ def objective_value(x, model: FactorModel, weights: RegularizationWeights,
         raise ShapeError(
             f"data shape {x.shape} != ({model.n_flows}, {model.n_timestamps})")
     resid = x - model.spatial @ model.latent
-    total = float(np.vdot(resid, resid))
+    temporal = ortho = 0.0
     if weights.lambda_temporal > 0 and len(model.lag_set) > 0:
-        total += weights.lambda_temporal * temporal_penalty_value(
+        temporal = weights.lambda_temporal * temporal_penalty_value(
             model.latent, model.ar_weights, model.lag_set, "residual")
     if weights.lambda_ortho > 0:
-        total += weights.lambda_ortho * ortho_penalty_value(
+        ortho = weights.lambda_ortho * ortho_penalty_value(
             routing_arr @ model.spatial)
-    return total
+    return float(np.vdot(resid, resid)), temporal, ortho
+
+
+def objective_value(x, model: FactorModel, weights: RegularizationWeights,
+                    routing) -> float:
+    """Full regularized objective: the sum of objective_terms."""
+    fit, temporal, ortho = objective_terms(x, model, weights, routing)
+    return fit + temporal + ortho

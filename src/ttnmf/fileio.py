@@ -153,51 +153,69 @@ def save_model(path, archive: ModelArchive) -> None:
             fh.write(raw)
 
 
-def _read_line(fh) -> str:
+def _read_line(fh, path) -> str:
     chunk = bytearray()
     while True:
         b = fh.read(1)
         if not b or b == b"\n":
             break
         chunk += b
-    return chunk.decode("ascii")
+    try:
+        return chunk.decode("ascii")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: non-ASCII byte in a header line") from None
+
+
+def _parse(path, what, cast, value):
+    """cast(value), with any ValueError (ConfigError included) as ParseError."""
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad {what}: {exc}") from None
 
 
 def load_model(path) -> ModelArchive:
-    """Inverse of save_model; matrices round-trip bit-exactly."""
+    """Inverse of save_model; matrices round-trip bit-exactly.
+
+    A malformed or truncated archive raises ParseError (or ShapeError /
+    ValidationError when well-formed factors do not fit together).
+    """
     with open(path, "rb") as fh:
-        magic = _read_line(fh).split()
+        magic = _read_line(fh, path).split()
         if len(magic) != 2 or magic[0] != ARCHIVE_MAGIC:
             raise ParseError(f"{path}: not a model archive")
-        version = int(magic[1])
+        version = _parse(path, "archive version", int, magic[1])
         if version != ARCHIVE_VERSION:
             raise ParseError(f"{path}: unsupported archive version {version}")
         fields = {}
         provenance = {}
-        n_matrices = None
         while True:
-            line = _read_line(fh)
+            line = _read_line(fh, path)
             if not line:
                 raise ParseError(f"{path}: truncated header")
             parts = line.split()
+            if len(parts) < 2:
+                raise ParseError(f"{path}: bad header line {line!r}")
             if parts[0] == "matrices":
-                n_matrices = int(parts[1])
+                n_matrices = _parse(path, "matrix count", int, parts[1])
                 break
             if parts[0] == "prov":
                 provenance[parts[1]] = " ".join(parts[2:])
             else:
-                fields[parts[0]] = parts[1:]
+                fields[parts[0]] = parts[1]
         matrices = {}
         for _ in range(n_matrices):
-            head = _read_line(fh).split()
+            head = _read_line(fh, path).split()
             if len(head) != 4 or head[0] != "matrix":
                 raise ParseError(f"{path}: bad matrix header {head!r}")
-            name, rows, cols = head[1], int(head[2]), int(head[3])
+            name = head[1]
+            rows, cols = (_parse(path, f"matrix {name} shape", int, v)
+                          for v in head[2:])
             prefix = fh.read(8)
             if len(prefix) != 8:
                 raise ParseError(f"{path}: truncated length prefix for {name}")
             (nbytes,) = struct.unpack("<Q", prefix)
-            if nbytes != rows * cols * 8:
+            if min(rows, cols) < 0 or nbytes != rows * cols * 8:
                 raise ParseError(
                     f"{path}: matrix {name}: {nbytes} bytes for "
                     f"{rows}x{cols} float64")
@@ -209,11 +227,12 @@ def load_model(path) -> ModelArchive:
     for required in ("spatial", "latent", "ar_weights", "routing"):
         if required not in matrices:
             raise ParseError(f"{path}: missing matrix {required!r}")
-    lag_text = fields.get("lags", ["-"])[0]
-    lag_set = LagSet(()) if lag_text == "-" else \
-        LagSet(tuple(int(v) for v in lag_text.split(",")))
-    weights = RegularizationWeights(
-        **{key: float(fields[key][0]) for key in _WEIGHTS})
+    for required in _WEIGHTS:
+        if required not in fields:
+            raise ParseError(f"{path}: missing header field {required!r}")
+    lag_set = _parse(path, "lags line", LagSet.from_text, fields.get("lags"))
+    weights = _parse(path, "penalty weights", lambda f: RegularizationWeights(
+        **{key: float(f[key]) for key in _WEIGHTS}), fields)
     routing = RoutingMatrix(matrices["routing"])
     model = FactorModel.from_factors(matrices["spatial"], matrices["latent"],
                                      matrices["ar_weights"], lag_set, routing,

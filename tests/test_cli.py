@@ -1,5 +1,7 @@
 """Command-line workflow: synth, train, estimate, evaluate."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def test_train_writes_model_and_trace(tmp_path):
     assert set(archive.provenance) == {"config_sha256", "traffic_sha256",
                                        "routing_sha256"}
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "q,e_q,wall_ms"
+    assert lines[0] == "q,e_q,f_q,wall_ms"
     assert len(lines) >= 3
     errs = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
@@ -255,3 +257,63 @@ def test_unknown_profile_exits_1(tmp_path, capsys):
 def test_usage_error_exits_1(capsys):
     assert main(["synth"]) == 1  # --out is required
     assert "--out" in capsys.readouterr().err
+
+
+def _tiny_archive(path):
+    """A small but complete archive in the CLI's layout: lags, the four
+    penalty weights and three provenance lines."""
+    from ttnmf import (FactorModel, LagSet, ModelArchive,
+                       RegularizationWeights, RoutingMatrix, save_model)
+    routing = RoutingMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    model = FactorModel.from_factors(
+        np.array([[1.0], [0.5], [2.0]]), np.array([[1.0, 2.0, 3.0, 4.0]]),
+        np.array([[0.5, 0.25]]), LagSet((1, 2)), routing,
+        RegularizationWeights(0.1, 0.2, 0.2, 0.2))
+    prov = {key: "ab" * 32 for key in
+            ("config_sha256", "routing_sha256", "traffic_sha256")}
+    save_model(path, ModelArchive(model, routing, prov))
+    return routing
+
+
+def test_corrupt_archive_exits_2(tmp_path, capsys):
+    from ttnmf import write_matrix_csv
+    good = tmp_path / "model.ttnmf"
+    routing = _tiny_archive(good)
+    links = tmp_path / "links.csv"
+    write_matrix_csv(links, routing.entries @ np.ones((3, 2)))
+    data = good.read_bytes()
+    header_end = data.index(b"matrices")
+    cases = [(f"truncated at byte {n}", data[:n]) for n in range(len(data))]
+    cases += [
+        ("non-numeric version", data.replace(b"TTNMF-MODEL 1", b"TTNMF-MODEL x")),
+        ("non-numeric lambda", re.sub(rb"lambda_temporal \S+",
+                                      b"lambda_temporal abc", data)),
+        ("negative lambda", re.sub(rb"lambda_ortho \S+", b"lambda_ortho -1",
+                                   data)),
+        ("NaN lambda", re.sub(rb"lambda_temporal \S+", b"lambda_temporal nan",
+                              data)),
+        ("bad lag list", data.replace(b"lags 1,2", b"lags 1,,2")),
+        ("prov line with no key", data.replace(b"prov config_sha256 " + b"ab" * 32,
+                                               b"prov")),
+        ("non-ASCII header byte",
+         data[:header_end] + b"\xe9" + data[header_end:]),
+        ("header line of only spaces",
+         data[:header_end] + b"   \n" + data[header_end:]),
+        ("non-numeric matrix count", data.replace(b"matrices 4", b"matrices x")),
+        ("non-numeric matrix shape", data.replace(b"matrix latent 1 4",
+                                                  b"matrix latent 1 x")),
+        ("negative matrix shape", data.replace(b"matrix latent 1 4",
+                                               b"matrix latent -1 -4")),
+    ]
+    assert main(["estimate", "--out", str(tmp_path / "run"), "--model",
+                 str(good), "--linkflows", str(links)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.ttnmf"
+    for name, content in cases:
+        assert content != data, name
+        bad.write_bytes(content)
+        code = main(["estimate", "--out", str(tmp_path / "run"), "--model",
+                     str(bad), "--linkflows", str(links)])
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert err.startswith("ttnmf: ") and err.count("\n") == 1, (name, err)

@@ -14,6 +14,8 @@ Covers:
     rank-1 data, degenerate rows/columns
   - train: monotone trace, nonneg iterates, planted fit quality, plain-NMF
     reduction, input validation, non-finite guard
+  - stop rule: converged before q_max on the acceptance scenarios (with and
+    without em_mask), q_max with a tiny delta, penalized trace oracle
 """
 
 import logging
@@ -453,6 +455,50 @@ def test_train_em_mask_and_weighted_fill_run():
         trace = np.array(report.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12), mode
         assert np.isfinite(model.latent).all()
+
+
+def _stopped_at_relative_drop(report, delta):
+    f = report.penalized_trace
+    return 0.0 <= f[-2] - f[-1] < delta * f[-2]
+
+
+def test_train_stops_when_penalized_objective_stalls():
+    # acceptance criterion 3's scenario with the default config
+    scen = generate_synthetic(6, 4, 300, LagSet((1, 2)), 0.05, seed=3)
+    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)))
+    model, report = train(scen.traffic, scen.routing, cfg)
+    assert report.stop_reason == "converged"
+    assert report.n_iterations < cfg.q_max
+    assert len(report.penalized_trace) == len(report.objective_trace)
+    assert _stopped_at_relative_drop(report, cfg.delta)
+    f = report.penalized_trace
+    assert not any(0.0 <= a - b < cfg.delta * a for a, b in zip(f[:-2], f[1:-1]))
+    # the last entry is the penalized objective of the returned model
+    assert f[-1] == pytest.approx(
+        objective_value(scen.traffic.entries, model, model.weights,
+                        scen.routing), rel=1e-12)
+    assert report.objective_trace[-1] < f[-1]
+
+
+def test_train_tiny_delta_runs_to_q_max():
+    scen = generate_synthetic(6, 4, 300, LagSet((1, 2)), 0.05, seed=3)
+    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)), q_max=20, delta=1e-15)
+    _, report = train(scen.traffic, scen.routing, cfg)
+    assert report.stop_reason == "q_max"
+    assert report.n_iterations == 20
+
+
+def test_train_em_mask_stops_before_q_max():
+    # acceptance criterion 6's gappy data; criterion 6 checks its accuracy
+    scen = generate_synthetic(6, 4, 400, LagSet((1, 2)), 0.0, seed=7)
+    x = scen.traffic.entries[:, :300]
+    rng = np.random.default_rng(104)
+    mask = (rng.random(x.shape) >= 0.2).astype(float)
+    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)), missing_mode="em_mask")
+    _, report = train(TrafficMatrix(x * mask, mask=mask), scen.routing, cfg)
+    assert report.stop_reason == "converged"
+    assert report.n_iterations < cfg.q_max
+    assert _stopped_at_relative_drop(report, cfg.delta)
 
 
 def test_train_accepts_plain_arrays():
