@@ -7,6 +7,7 @@ TTNMF_LOG={error,warn,info,debug} controls diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -165,6 +166,18 @@ def _outdir(args) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path: Path):
+    """Yield a temporary path in path's directory; os.replace it onto path
+    if the block succeeds, delete it if the block raises."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _cmd_synth(args) -> int:
     cfg = _load_config(args)
     get = lambda key: _setting(args, cfg, {}, key)
@@ -242,8 +255,11 @@ def _cmd_train(args) -> int:
         "traffic_sha256": sha256_hex(traffic.entries.tobytes()),
         "routing_sha256": sha256_hex(routing.entries.tobytes()),
     }
-    save_model(out / "model.ttnmf", ModelArchive(model, routing, provenance))
-    with open(out / "trace.csv", "w", encoding="utf-8", newline="\n") as fh:
+    # a failed or interrupted write leaves no partial output behind
+    with _replaced_on_success(out / "model.ttnmf") as tmp:
+        save_model(tmp, ModelArchive(model, routing, provenance))
+    with _replaced_on_success(out / "trace.csv") as tmp, \
+            open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("q,e_q,f_q,wall_ms\n")
         for q, (e, f, ms) in enumerate(zip(report.objective_trace,
                                            report.penalized_trace,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericalFailure, ShapeError
 from .factors import FactorModel, LagSet, routing_array
 from .training import _latent_block, _nesterov_loop
 
@@ -109,10 +109,18 @@ def refine_em(x0, link_flows, routing,
 
 def estimate_od_flows(link_flows, model: FactorModel, routing,
                       config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
-    """The latent window fit, then EM refinement of W H, for links x T."""
+    """The latent window fit, then EM refinement of W H, for links x T.
+
+    Raises NumericalFailure if an estimate is not finite.
+    """
     y = np.asarray(getattr(link_flows, "entries", link_flows), dtype=float)
-    return refine_em(model.spatial @ estimate_latent(y, model), y, routing,
-                     config)
+    x = refine_em(model.spatial @ estimate_latent(y, model), y, routing,
+                  config)
+    bad = ~np.isfinite(x).all(axis=0)
+    if bad.any():
+        raise NumericalFailure(f"non-finite OD flow estimates in "
+                               f"{int(bad.sum())} of {x.shape[1]} columns")
+    return x
 
 
 def estimate_od_flow(link_flows, model: FactorModel, routing,

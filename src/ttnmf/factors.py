@@ -229,6 +229,8 @@ class FactorModel:
                 f"routing has {routing_arr.shape[1]} columns, expected {n}")
         for name, arr in (("spatial", spatial), ("latent", latent),
                           ("ar_weights", ar_weights)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} factor has non-finite entries")
             if arr.size and arr.min() < 0:
                 raise ValidationError(f"{name} factor has negative entries")
         return cls(spatial, latent, ar_weights, lag_set, routing_arr @ spatial,

@@ -12,15 +12,34 @@ from .factors import LagSet, build_lag_design_matrix
 logger = logging.getLogger(__name__)
 
 
+def _leading_svd(x, rank: int):
+    """The leading rank singular triplets (u, s, vt) of x.
+
+    The vectors on the short side of x are the leading eigenvectors of the
+    smaller Gram matrix (X X^T, or X^T X for a tall x); each s is the norm of
+    x projected on one of them, never the square root of a rounded
+    eigenvalue, and the vector on the other side is that projection over s,
+    or 0 where s is 0.
+    """
+    wide = x.shape[0] <= x.shape[1]
+    vecs = np.linalg.eigh(x @ x.T if wide else x.T @ x)[1][:, ::-1][:, :rank]
+    proj = vecs.T @ x if wide else (x @ vecs).T
+    s = np.sqrt(np.einsum("ij,ij->i", proj, proj))
+    other = np.divide(proj, s[:, None], out=np.zeros_like(proj),
+                      where=s[:, None] > 0)
+    return (vecs, s, other) if wide else (other.T, s, vecs.T)
+
+
 def init_factors_svd(x, rank: int):
     """Nonnegative SVD-based seeding of (spatial, latent).
 
-    Rank-k truncated SVD with a deterministic sign fix (the largest-magnitude
-    entry of each left singular vector is made positive).  The leading pair
-    enters as |u| sqrt(s), |v| sqrt(s); every later pair is split into
-    positive/negative parts and the part pair with the larger product norm is
-    kept, scaled by sqrt(s).  A final optimal nonnegative rescale of the
-    product guarantees the seed never fits worse than the zero factorization.
+    Rank-k truncated SVD (_leading_svd) with a deterministic sign fix (the
+    largest-magnitude entry of each left singular vector is made positive).
+    The leading pair enters as |u| sqrt(s), |v| sqrt(s); every later pair is
+    split into positive/negative parts and the part pair with the larger
+    product norm is kept, scaled by sqrt(s).  A final optimal nonnegative
+    rescale of the product guarantees the seed never fits worse than the zero
+    factorization.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -33,7 +52,7 @@ def init_factors_svd(x, rank: int):
     if not x.any():
         return spatial, latent
 
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    u, s, vt = _leading_svd(x, rank)
     for i in range(rank):
         j = int(np.argmax(np.abs(u[:, i])))
         if u[j, i] < 0:

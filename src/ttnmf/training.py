@@ -158,11 +158,15 @@ def _positive(lip: float) -> float:
 def _spatial_block(x, h, weights, a):
     """(grad, err, lip) of the spatial block with H fixed.
 
-    err is the data fit.  lip = 2||H H^T||_2 bounds the data-fit curvature
-    only, not that of the quartic orthogonality term.
+    err is the data fit ||X||^2 + <B, B H H^T - 2 X H^T>, taken from the Gram
+    products so that no step forms the n x T residual; it differs from
+    ||X - B H||^2 by rounding of order eps ||X||^2 and is clamped at 0.
+    lip = 2||H H^T||_2 bounds the data-fit curvature only, not that of the
+    quartic orthogonality term.
     """
     hht = h @ h.T
     xht = x @ h.T
+    xx = _frob2(x)
     lam = weights.lambda_ortho
     eye = np.eye(h.shape[0])
 
@@ -174,7 +178,7 @@ def _spatial_block(x, h, weights, a):
         return g
 
     def err(b):
-        return _frob2(x - b @ h)
+        return max(xx + float(np.vdot(b, b @ hht - 2.0 * xht)), 0.0)
 
     return grad, err, _positive(2.0 * _norm2(hht))
 
@@ -182,17 +186,19 @@ def _spatial_block(x, h, weights, a):
 def _latent_block(x, w, omega, lag_set, weights, by_column=False):
     """(grad, err, lip) of the latent block with W and the AR weights fixed.
 
-    err is the data fit; with by_column and no temporal term, where the block
-    separates over columns, it is the data fit of each column.  The temporal
-    Hessian is block-diagonal over rows, with blocks M_p^T M_p for the AR
-    residual operator M_p of row p, and ||M_p||_2 <= 1 + sum_l |w_p(l)|; so
-    lip = 2||W^T W||_2 + lambda_t max_p (1 + sum_l |w_p(l)|)^2 is a valid
-    bound.
+    err is the data fit ||X||^2 + <B, W^T W B - 2 W^T X> from the Gram
+    products, clamped at 0 like the spatial block's; with by_column and no
+    temporal term, where the block separates over columns, it is the data fit
+    of each column.  The temporal Hessian is block-diagonal over rows, with
+    blocks M_p^T M_p for the AR residual operator M_p of row p, and
+    ||M_p||_2 <= 1 + sum_l |w_p(l)|; so lip = 2||W^T W||_2 + lambda_t max_p
+    (1 + sum_l |w_p(l)|)^2 is a valid bound.
     """
     wtw = w.T @ w
     wtx = w.T @ x
     lam = weights.lambda_temporal if len(lag_set) > 0 else 0.0
     per_column = by_column and lam == 0
+    xx = np.einsum("ij,ij->j", x, x) if per_column else _frob2(x)
     lip = 2.0 * _norm2(wtw)
     if lam > 0:
         lip += lam * float(np.max((1.0 + np.abs(omega).sum(axis=1)) ** 2))
@@ -204,8 +210,10 @@ def _latent_block(x, w, omega, lag_set, weights, by_column=False):
         return g
 
     def err(b):
-        r = x - w @ b
-        return np.einsum("ij,ij->j", r, r) if per_column else _frob2(r)
+        q = wtw @ b - 2.0 * wtx
+        if per_column:
+            return np.maximum(xx + np.einsum("ij,ij->j", b, q), 0.0)
+        return max(xx + float(np.vdot(b, q)), 0.0)
 
     return grad, err, _positive(lip)
 

@@ -1,6 +1,7 @@
 """Command-line workflow: synth, train, estimate, evaluate."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -305,6 +306,13 @@ def test_corrupt_archive_exits_2(tmp_path, capsys):
         ("negative matrix shape", data.replace(b"matrix latent 1 4",
                                                b"matrix latent -1 -4")),
     ]
+    for name in (b"spatial", b"latent", b"ar_weights"):
+        # the first float64 of the payload, after its header line and the
+        # 8-byte length prefix
+        start = data.index(b"\n", data.index(b"matrix " + name)) + 9
+        for value in (np.nan, np.inf):
+            cases.append((f"{value} in {name.decode()}", data[:start]
+                          + struct.pack("<d", value) + data[start + 8:]))
     assert main(["estimate", "--out", str(tmp_path / "run"), "--model",
                  str(good), "--linkflows", str(links)]) == 0
     capsys.readouterr()
@@ -317,3 +325,46 @@ def test_corrupt_archive_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, name
         assert err.startswith("ttnmf: ") and err.count("\n") == 1, (name, err)
+
+
+def test_nonfinite_estimate_exits_3(tmp_path, capsys, monkeypatch):
+    import ttnmf.estimation
+    from ttnmf import write_matrix_csv
+    model = tmp_path / "model.ttnmf"
+    routing = _tiny_archive(model)
+    links = tmp_path / "links.csv"
+    write_matrix_csv(links, routing.entries @ np.ones((3, 2)))
+
+    def poisoned(x0, *args, **kwargs):
+        x = np.array(x0, dtype=float)
+        x[0, 1] = np.nan
+        return x
+
+    monkeypatch.setattr(ttnmf.estimation, "refine_em", poisoned)
+    out = tmp_path / "run"
+    code = main(["estimate", "--out", str(out), "--model", str(model),
+                 "--linkflows", str(links)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "ttnmf: non-finite OD flow estimates in 1 of 2 columns\n"
+    assert not (out / "estimated.csv").exists()
+
+
+def test_failed_train_write_leaves_previous_outputs(tmp_path, monkeypatch):
+    import ttnmf.cli
+    data, out = tmp_path / "data", tmp_path / "run"
+    _synth(data)
+    assert _train(data, out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"model.ttnmf", "trace.csv"}
+
+    def failing_save(path, archive):
+        with open(path, "wb") as fh:
+            fh.write(b"TTNMF-MODEL 1\ndims")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ttnmf.cli, "save_model", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        _train(data, out)
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after == before

@@ -5,6 +5,8 @@ Covers:
   - determinism (bit-identical repeats) and nonnegativity
   - the seed never fits worse than the zero factorization
   - beats a mean-scaled all-ones baseline on random data
+  - the Gram-eigenvector triplets and the seed against np.linalg.svd, wide
+    and tall; rank above the numerical rank
   - AR weight seeding: exact recovery, normal-equation oracle, scale
     invariance, zero rows, empty lag sets
 """
@@ -12,6 +14,7 @@ Covers:
 import numpy as np
 import pytest
 
+import ttnmf.initialization as init
 from ttnmf.errors import ConfigError
 from ttnmf.factors import LagSet, build_lag_design_matrix
 from ttnmf.initialization import init_factors_svd, init_lag_weights
@@ -72,6 +75,54 @@ def test_seed_deterministic():
     w1, h1 = init_factors_svd(x, 3)
     w2, h2 = init_factors_svd(x, 3)
     assert np.array_equal(w1, w2) and np.array_equal(h1, h2)
+
+
+def _full_svd(x, rank):
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    return u[:, :rank], s[:rank], vt[:rank]
+
+
+def _sign_rule(u, vt):
+    """Flip each pair so that the largest-magnitude entry of u is positive."""
+    flip = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+                    < 0, -1.0, 1.0)
+    return u * flip, vt * flip[:, None]
+
+
+@pytest.mark.parametrize("shape", [(9, 14), (14, 9)])
+def test_seed_matches_full_svd(monkeypatch, shape):
+    # the Gram-eigenvector triplets against np.linalg.svd's under the sign
+    # rule, on a wide and a tall x; then the seed against the seed built from
+    # np.linalg.svd
+    x = np.random.default_rng(4).random(shape)
+    u, s, vt = init._leading_svd(x, 4)
+    u_ref, s_ref, vt_ref = _full_svd(x, 4)
+    np.testing.assert_allclose(s, s_ref, rtol=1e-12)
+    for got, ref in zip(_sign_rule(u, vt), _sign_rule(u_ref, vt_ref)):
+        np.testing.assert_allclose(got, ref, atol=1e-10)
+
+    w, h = init_factors_svd(x, 4)
+    monkeypatch.setattr(init, "_leading_svd", _full_svd)
+    w_ref, h_ref = init_factors_svd(x, 4)
+    np.testing.assert_allclose(w, w_ref, atol=1e-10)
+    np.testing.assert_allclose(h, h_ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(10, 16), (16, 10)])
+def test_seed_rank_above_numerical_rank(shape):
+    # rank 2 data seeded at rank 5: the trailing Gram eigenvalues are
+    # rounding, possibly negative; the factors stay finite and nonnegative
+    rng = np.random.default_rng(9)
+    x = rng.random((shape[0], 2)) @ rng.random((2, shape[1]))
+    w, h = init_factors_svd(x, 5)
+    assert np.isfinite(w).all() and np.isfinite(h).all()
+    assert w.min() >= 0 and h.min() >= 0
+    assert np.sum((x - w @ h) ** 2) <= np.sum(x * x)
+    # zero singular values give zero vectors on the side not taken from the
+    # Gram, with no division by zero
+    u, s, vt = init._leading_svd(np.zeros(shape), 3)
+    assert not s.any()
+    assert not (vt if shape[0] <= shape[1] else u).any()
 
 
 # ---------------------------------------------------------- AR weight seed

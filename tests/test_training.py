@@ -7,6 +7,8 @@ Covers:
     reduction
   - step-size denominators: identity case, Hessian power-iteration oracle,
     upper-bound property with the temporal term, degenerate guards
+  - block errors from the Gram products against the direct residual, near
+    exact fits included
   - inner loop behavior: active projection, interior quadratic convergence
   - penalty tuning: in-test ratio oracle, ratio = 1 construction, vanishing
     denominators, empty lag set, beta = 0
@@ -240,6 +242,40 @@ def test_lipschitz_ar_matches_design_gram():
         expected = np.linalg.norm(design @ design.T, 2)
         assert block_lipschitz("ar", None, model, weights, row=p) \
             == pytest.approx(expected, rel=1e-12)
+
+
+# ------------------------------------------------------------ block errors
+
+@pytest.mark.parametrize("noise", [1.0, 1e-5, 0.0])
+def test_block_errors_from_gram_products_match_direct_residual(noise):
+    # each block's err comes from its Gram products, so it equals the direct
+    # ||X - W H||^2 only up to rounding of order eps ||X||^2; the bound is
+    # relative to ||X||^2 (||x_j||^2 per column), because one relative to the
+    # fit cannot hold for the near-exact fits (noise 1e-5 and 0)
+    rng = np.random.default_rng(8)
+    w, h = rng.random((12, 3)), rng.random((3, 30))
+    x = w @ h + noise * rng.random((12, 30))
+    xx, xx_cols = np.sum(x * x), np.sum(x * x, axis=0)
+    if noise < 1.0:
+        assert np.sum((x - w @ h) ** 2) <= 1e-8 * xx
+    ls = LagSet([1, 2])
+    omega = rng.random((3, 2))
+    for b_w, b_h in ((w, h), (w + 0.1, h * 0.9)):
+        spatial = training._spatial_block(x, b_h, RegularizationWeights(),
+                                          None)[1](b_w)
+        latent = training._latent_block(
+            x, b_w, omega, ls, RegularizationWeights(0.5, 0.5, 0.2, 0.2))[1](b_h)
+        columns = training._latent_block(
+            x, b_w, np.zeros((3, 0)), LagSet(), RegularizationWeights(),
+            by_column=True)[1](b_h)
+        direct = x - b_w @ b_h
+        for got in (spatial, latent):
+            assert np.isfinite(got) and got >= 0.0
+            assert abs(got - np.sum(direct ** 2)) <= 1e-10 * xx
+        assert columns.shape == (30,)
+        assert np.isfinite(columns).all() and (columns >= 0.0).all()
+        assert (np.abs(columns - np.sum(direct ** 2, axis=0))
+                <= 1e-10 * xx_cols).all()
 
 
 # ------------------------------------------------------------- inner loop
