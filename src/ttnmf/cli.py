@@ -138,9 +138,7 @@ def _setting(args, cfg, profile, key, required=False):
 def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
+        path = _require_file(args.config, "config")
         cfg = parse_config_file(path)
         known = set(_CASTS) | {"lags", "routing", "traffic", "mask", "model",
                                "linkflows", "true_path", "est_path",
@@ -157,6 +155,8 @@ def _require_file(path, what) -> Path:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{what} file not found: {p}")
+    if not p.is_file():
+        raise ConfigError(f"{what} path {p} is not a file")
     return p
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,23 +26,22 @@ def format_float(v) -> str:
     return "%.17g" % v
 
 
-def load_matrix_csv(path, expected_kind: str) -> np.ndarray:
-    """Load a headerless numeric CSV ('#' comments allowed) and validate it.
+def _data_lines(fh):
+    """The lines of fh that hold data: not blank and not a '#' comment."""
+    for line in fh:
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line
 
-    kind "routing"/"mask" requires {0,1} entries; "traffic"/"link" requires
-    nonnegative entries.  Cell coordinates in errors are 1-based over data
-    rows (comment and blank lines do not count).
-    """
-    if expected_kind not in _KINDS:
-        raise ConfigError(f"unknown matrix kind {expected_kind!r}")
+
+def _parse_cells(path) -> np.ndarray:
+    """Parse path one cell at a time with float(), naming the first bad row
+    or cell.  The reference parse: it runs only when numpy rejects a file."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
+        for line in _data_lines(fh):
+            cells = line.strip().split(",")
             r = len(rows) + 1
             if width is None:
                 width = len(cells)
@@ -58,9 +58,39 @@ def load_matrix_csv(path, expected_kind: str) -> np.ndarray:
                         f"{path}: parse error at row {r} col {c}: "
                         f"{cell.strip()!r}") from None
             rows.append(parsed)
-    if not rows:
+    return np.asarray(rows, dtype=float)
+
+
+def _parse_csv(path) -> np.ndarray:
+    """numpy's C reader over the data lines.  On any ValueError from it (a
+    bad cell, a ragged row, a cell such as '1_0' that float() takes and numpy
+    does not, or a decode error) _parse_cells reads the file again, and its
+    array or error stands."""
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(_data_lines(fh), delimiter=",", comments=None,
+                              dtype=float, ndmin=2)
+        except ValueError:
+            pass
+    return _parse_cells(path)
+
+
+def load_matrix_csv(path, expected_kind: str) -> np.ndarray:
+    """Load a headerless numeric CSV ('#' comments allowed) and validate it.
+
+    kind "routing"/"mask" requires {0,1} entries; "traffic"/"link" requires
+    nonnegative entries.  Cell coordinates in errors are 1-based over data
+    rows (comment and blank lines do not count).
+    """
+    if expected_kind not in _KINDS:
+        raise ConfigError(f"unknown matrix kind {expected_kind!r}")
+    try:
+        arr = _parse_csv(path)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    if not arr.size:
         raise ParseError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
     if not np.isfinite(arr).all():
         i, j = np.argwhere(~np.isfinite(arr))[0]
         raise ValidationError(
@@ -87,25 +117,30 @@ def write_matrix_csv(path, matrix) -> None:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise ShapeError("can only write 2-D matrices")
+    # format_float's "%.17g" for every cell, one % operation per row
+    line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in arr:
-            fh.write(",".join(format_float(v) for v in row))
-            fh.write("\n")
+        for row in arr.tolist():
+            fh.write(line % tuple(row))
 
 
 def parse_config_file(path) -> dict:
     """Flat key=value file; '#' comments and blank lines ignored."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(
+                f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 

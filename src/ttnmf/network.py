@@ -28,7 +28,7 @@ class RoutingMatrix:
             i, j = np.argwhere(bad)[0]
             raise ValidationError(
                 f"routing entries must be 0 or 1; cell ({i + 1},{j + 1}) is "
-                f"{arr[i, j]!r}")
+                f"{float(arr[i, j])}")
         empty = int((arr.sum(axis=0) == 0).sum())
         if empty:
             logger.warning("routing matrix has %d all-zero columns "
@@ -67,7 +67,7 @@ class TrafficMatrix:
                 i, j = np.argwhere(bad)[0]
                 raise ValidationError(
                     f"mask entries must be 0 or 1; cell ({i + 1},{j + 1}) is "
-                    f"{mask[i, j]!r}")
+                    f"{float(mask[i, j])}")
             observed = mask == 1.0
         else:
             observed = np.ones(arr.shape, dtype=bool)
@@ -76,7 +76,7 @@ class TrafficMatrix:
             i, j = np.argwhere(bad)[0]
             raise ValidationError(
                 f"observed traffic must be >= 0; cell ({i + 1},{j + 1}) is "
-                f"{arr[i, j]!r}")
+                f"{float(arr[i, j])}")
         ts = self.timestamps
         if ts is None:
             ts = np.arange(arr.shape[1])
@@ -110,7 +110,8 @@ class LinkFlowMatrix:
         if arr.size and arr.min() < 0:
             i, j = np.argwhere(arr < 0)[0]
             raise ValidationError(
-                f"link flows must be >= 0; cell ({i + 1},{j + 1}) is {arr[i, j]!r}")
+                f"link flows must be >= 0; cell ({i + 1},{j + 1}) is "
+                f"{float(arr[i, j])}")
         object.__setattr__(self, "entries", arr)
 
     @property

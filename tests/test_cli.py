@@ -327,6 +327,63 @@ def test_corrupt_archive_exits_2(tmp_path, capsys):
         assert err.startswith("ttnmf: ") and err.count("\n") == 1, (name, err)
 
 
+def test_malformed_csv_and_config_exit_cleanly(tmp_path, capsys):
+    from ttnmf import write_matrix_csv
+    model = tmp_path / "model.ttnmf"
+    routing = _tiny_archive(model)
+    routing_csv, traffic = tmp_path / "routing.csv", tmp_path / "traffic.csv"
+    links = tmp_path / "links.csv"
+    write_matrix_csv(routing_csv, routing.entries)
+    write_matrix_csv(traffic, np.ones((3, 4)))
+    write_matrix_csv(links, routing.entries @ np.ones((3, 2)))
+    out = str(tmp_path / "run")
+    commands = {
+        "train --traffic": lambda bad: [
+            "train", "--out", out, "--routing", str(routing_csv),
+            "--traffic", bad, "--rank", "1", "--lags", "1", "--q-max", "1"],
+        "estimate --linkflows": lambda bad: [
+            "estimate", "--out", out, "--model", str(model),
+            "--linkflows", bad],
+        "evaluate --true": lambda bad: [
+            "evaluate", "--out", out, "--true", bad, "--est", str(traffic)],
+    }
+    bad = tmp_path / "bad.csv"
+    cases = [
+        ("non-UTF-8 byte", b"1,2\n3,\xff\n", 2, "not UTF-8"),
+        ("ragged row", b"1,2\n3\n", 2, "ragged row 2"),
+        ("NaN cell", b"1,nan\n", 2, "non-finite value at cell (1,2)"),
+        ("negative cell", b"1,-2\n", 2, "offending cells: (1,2)"),
+        ("empty file", b"", 2, "no data rows"),
+        ("directory path", None, 1, "is not a file"),
+    ]
+    for command, argv in commands.items():
+        assert main(argv(str(links if command.startswith("estimate")
+                             else traffic))) == 0, command
+        capsys.readouterr()
+        for name, content, code, message in cases:
+            if content is None:
+                path = tmp_path
+            else:
+                path = bad
+                bad.write_bytes(content)
+            got = main(argv(str(path)))
+            err = capsys.readouterr().err
+            assert got == code, (command, name, err)
+            assert err.startswith("ttnmf: ") and err.count("\n") == 1, (
+                command, name, err)
+            assert message in err and str(path) in err, (command, name, err)
+            assert "Traceback" not in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"rank=4\nlags=\xff\n")
+    for path, message in ((cfg, "not UTF-8"), (tmp_path, "is not a file")):
+        got = main(commands["evaluate --true"](str(traffic))
+                   + ["--config", str(path)])
+        err = capsys.readouterr().err
+        assert got == 1, err
+        assert err.startswith("ttnmf: ") and err.count("\n") == 1, err
+        assert message in err and str(path) in err, err
+
+
 def test_nonfinite_estimate_exits_3(tmp_path, capsys, monkeypatch):
     import ttnmf.estimation
     from ttnmf import write_matrix_csv

@@ -173,3 +173,156 @@ def test_archive_truncated(tmp_path):
     p.write_bytes(data[: len(data) - 16])
     with pytest.raises(ParseError, match="truncated"):
         load_model(p)
+
+
+def _reference_load(path, expected_kind):
+    """The per-cell parser load_matrix_csv used before numpy's C reader,
+    with the same validation, kept as the reference for the fast path."""
+    rows = []
+    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            cells = line.split(",")
+            r = len(rows) + 1
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise ParseError(
+                    f"{path}: ragged row {r}: expected {width} cells, got "
+                    f"{len(cells)}")
+            parsed = []
+            for c, cell in enumerate(cells, start=1):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: parse error at row {r} col {c}: "
+                        f"{cell.strip()!r}") from None
+            rows.append(parsed)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    arr = np.asarray(rows, dtype=float)
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ValidationError(
+            f"{path}: non-finite value at cell ({i + 1},{j + 1})")
+    if expected_kind in ("routing", "mask"):
+        bad = np.argwhere((arr != 0.0) & (arr != 1.0))
+        if len(bad):
+            cells = ", ".join(f"({i + 1},{j + 1})" for i, j in bad[:10])
+            raise ValidationError(
+                f"{path}: {expected_kind} entries must be 0 or 1; offending "
+                f"cells: {cells}")
+    else:
+        bad = np.argwhere(arr < 0)
+        if len(bad):
+            cells = ", ".join(f"({i + 1},{j + 1})" for i, j in bad[:10])
+            raise ValidationError(
+                f"{path}: {expected_kind} entries must be >= 0; offending "
+                f"cells: {cells}")
+    return arr
+
+
+def _outcome(load, path, kind):
+    try:
+        arr = load(path, kind)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return arr.shape, arr.tobytes()
+
+
+_EDGE_INPUTS = {
+    "blank lines": b"\n1,2\n\n3,4\n\n",
+    "whitespace-only lines": b"  \n1,2\n\t \n3,4\n   ",
+    "comment lines": b"# head\n1,2\n  # indented\n3,4\n#tail",
+    "inline comment": b"1,2#x\n3,4\n",
+    "spaces and tabs around cells": b" 1 ,\t2\t\n3\t, 4 \n",
+    "CRLF endings": b"1,2\r\n3,4\r\n",
+    "underscore digits": b"1_0,2\n3,4\n",
+    "underscore after a bad cell": b"1,2\n1_0,x\n",
+    "trailing comma": b"1,2,\n3,4,\n",
+    "empty cell": b"1,,2\n",
+    "ragged row": b"1,2,3\n4,5\n",
+    "single row": b"0.5,1e-300,7,1e300\n",
+    "single column": b"1\n2.5\n3e7\n",
+    "single cell, no newline": b"42",
+    "nan": b"1,nan\n",
+    "inf": b"1,2\n-inf,3\n",
+    "negative": b"1,-0.5\n",
+    "negative zero": b"-0,1\n",
+    "long digit strings": b"0.1000000000000000055511151231257827021181583404541015625,"
+                          b"123456789012345678901234567890\n",
+    "empty file": b"",
+    "only comments": b"# a\n# b\n",
+    "only blank lines": b"\n \n\t\n",
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_INPUTS))
+@pytest.mark.parametrize("kind", ["traffic", "routing"])
+def test_load_matches_reference_parser(tmp_path, name, kind):
+    p = tmp_path / "a.csv"
+    p.write_bytes(_EDGE_INPUTS[name])
+    assert (_outcome(load_matrix_csv, p, kind)
+            == _outcome(_reference_load, p, kind))
+
+
+def test_load_reads_well_formed_files_without_per_cell_parse(tmp_path,
+                                                            monkeypatch):
+    import ttnmf.fileio
+
+    def no_fallback(path):
+        raise AssertionError("per-cell parse ran on a well-formed file")
+
+    monkeypatch.setattr(ttnmf.fileio, "_parse_cells", no_fallback)
+    p = tmp_path / "a.csv"
+    for name in ("blank lines", "whitespace-only lines", "comment lines",
+                 "spaces and tabs around cells", "CRLF endings", "single row",
+                 "single column", "only comments"):
+        p.write_bytes(_EDGE_INPUTS[name])
+        assert (_outcome(load_matrix_csv, p, "traffic")
+                == _outcome(_reference_load, p, "traffic")), name
+
+
+def test_load_matches_reference_on_random_floats(tmp_path):
+    rng = np.random.default_rng(3)
+    arr = np.abs(rng.standard_normal((40, 7))) * 10.0 ** rng.integers(
+        -300, 300, size=(40, 7))
+    p = tmp_path / "a.csv"
+    p.write_text("\n".join(",".join(repr(v) for v in row)
+                           for row in arr.tolist()) + "\n")
+    assert (_outcome(load_matrix_csv, p, "traffic")
+            == _outcome(_reference_load, p, "traffic"))
+
+
+def test_load_non_utf8_is_parse_error(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_bytes(b"1,2\n3,\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_matrix_csv(p, "traffic")
+
+
+def test_parse_config_file_non_utf8(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(b"rank=4\nlags=\xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        parse_config_file(p)
+
+
+def test_write_matches_per_cell_format(tmp_path):
+    big = float(2 ** 62 + 1)
+    cases = [
+        np.array([[-0.0, 5e-324, 1e300], [big, 123456789012.0, 0.1]]),
+        np.array([[1.5], [-0.0], [5e-324]]),
+        np.array([[1e300, big, -0.0, 7.0]]),
+        np.zeros((2, 0)),
+    ]
+    p = tmp_path / "a.csv"
+    for arr in cases:
+        write_matrix_csv(p, arr)
+        expected = "".join(",".join("%.17g" % v for v in row) + "\n"
+                           for row in arr)
+        assert p.read_bytes() == expected.encode()

@@ -32,6 +32,18 @@ def test_routing_rejects_non_binary():
         RoutingMatrix(np.array([[1.0, 0.0], [0.5, 1.0]]))
 
 
+def test_bad_cell_messages_print_plain_values():
+    with pytest.raises(ValidationError) as exc:
+        RoutingMatrix(np.array([[np.nan, 1.0]]))
+    assert str(exc.value) == "routing entries must be 0 or 1; cell (1,1) is nan"
+    with pytest.raises(ValidationError, match=r"cell \(1,1\) is 0.5$"):
+        TrafficMatrix(np.ones((1, 2)), mask=np.array([[0.5, 1.0]]))
+    with pytest.raises(ValidationError, match=r"cell \(1,2\) is -1.0$"):
+        TrafficMatrix(np.array([[1.0, -1.0]]))
+    with pytest.raises(ValidationError, match=r"cell \(1,2\) is -2.0$"):
+        LinkFlowMatrix(np.array([[1.0, -2.0]]))
+
+
 def test_routing_warns_on_zero_column(caplog):
     with caplog.at_level(logging.WARNING, logger="ttnmf.network"):
         RoutingMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
