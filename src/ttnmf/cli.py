@@ -162,7 +162,10 @@ def _require_file(path, what) -> Path:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output path {out} is not a directory") from None
     return out
 
 

@@ -68,10 +68,12 @@ def refine_em(x0, link_flows, routing,
     once its move is below delta_em ||x0||^2.  Columns of A with zero sum are
     held fixed; a zero denominator on a link with positive load is floored at
     1e-12 (and logged once per call).  The update is scale-equivariant and
-    leaves exact solutions of A x = y unchanged.
+    leaves exact solutions of A x = y unchanged.  Neither x0 nor link_flows
+    is modified.  Logs at info level the steps run and the steps per column.
     """
     a = routing_array(routing)
     vector = np.ndim(x0) == 1
+    # a copy: the loop overwrites x, and stopped columns are written into it
     x = np.array(x0, dtype=float).reshape(len(x0), -1)
     y = np.asarray(link_flows, dtype=float).reshape(len(link_flows), -1)
     if a.shape != (y.shape[0], x.shape[0]) or x.shape[1] != y.shape[1]:
@@ -80,13 +82,13 @@ def refine_em(x0, link_flows, routing,
     col = a.sum(axis=0)
     fixed = col == 0
     col_div = np.where(fixed, 1.0, col)[:, None]
-    eps_min = config.delta_em * np.einsum("ij,ij->j", x, x)
-    cols = np.arange(x.shape[1])  # columns still moving
-    floored = 0
-    for _ in range(config.r_max_em):
-        if not cols.size:
-            break
-        xa, ya = x[:, cols], y[:, cols]
+    eps = config.delta_em * np.einsum("ij,ij->j", x, x)
+    # the columns cols of x still move; xa and ya hold them, eps their limits
+    cols, xa, ya = np.arange(x.shape[1]), x, y
+    col_steps = np.full(x.shape[1], config.r_max_em)
+    floored = steps = 0
+    while cols.size and steps < config.r_max_em:
+        steps += 1
         ax = a @ xa
         zero = ax == 0.0
         hit = zero & (ya > 0)
@@ -94,12 +96,27 @@ def refine_em(x0, link_flows, routing,
             floored = max(floored, int(hit.sum(axis=0).max()))
         ax[zero] = 1e-12
         x_new = a.T @ np.divide(ya, ax, out=ax)
+        del ax, zero, hit
         x_new[fixed] = 1.0  # x * 1 / 1: unrouted flows stay exactly as they are
         x_new *= xa
         x_new /= col_div
-        x[:, cols] = x_new
-        xa -= x_new
-        cols = cols[np.einsum("ij,ij->j", xa, xa) >= eps_min[cols]]
+        xa -= x_new  # the move; on the first step this overwrites x
+        keep = np.einsum("ij,ij->j", xa, xa) >= eps
+        del xa
+        if keep.all():
+            xa = x_new
+        else:
+            stop = ~keep
+            x[:, cols[stop]] = x_new[:, stop]
+            col_steps[cols[stop]] = steps
+            xa, ya = x_new[:, keep], ya[:, keep]
+            eps, cols = eps[keep], cols[keep]
+        del x_new
+    x[:, cols] = xa
+    logger.info("refine_em: %d columns, %d steps, per column median %g and "
+                "max %d, %d still moving at r_max_em", x.shape[1], steps,
+                np.median(col_steps) if col_steps.size else 0,
+                col_steps.max(initial=0), cols.size)
     if floored:
         logger.warning("refine_em: up to %d links of a column had zero "
                        "predicted load but positive observation; denominator "

@@ -384,6 +384,21 @@ def test_malformed_csv_and_config_exit_cleanly(tmp_path, capsys):
         assert message in err and str(path) in err, err
 
 
+def test_out_naming_a_file_exits_1(tmp_path, capsys):
+    t = tmp_path / "t.csv"
+    t.write_text("1\n")
+    for out in (t, t / "sub"):
+        for argv in (["synth", "--out", str(out)],
+                     ["evaluate", "--out", str(out), "--true", str(t),
+                      "--est", str(t)]):
+            got = main(argv)
+            err = capsys.readouterr().err
+            assert got == 1, (argv, err)
+            assert err == f"ttnmf: output path {out} is not a directory\n"
+            assert "Traceback" not in err
+    assert t.read_text() == "1\n"
+
+
 def test_nonfinite_estimate_exits_3(tmp_path, capsys, monkeypatch):
     import ttnmf.estimation
     from ttnmf import write_matrix_csv

@@ -8,7 +8,8 @@ Covers:
     trained AR prior used only on windows longer than max_lag
   - EM refinement: exact fixed point, zero observation, boundary ML problem
     against a grid-search oracle, scale equivariance, zero-column skip,
-    denominator floor logging
+    denominator floor logging, byte identity and the same log lines as the
+    gather-and-scatter reference loop, inputs left unchanged
   - end-to-end column estimation: consistency, nonnegativity, batch shape
 """
 
@@ -267,6 +268,156 @@ def test_em_batch_matches_columns():
                                    refine_em(x0[:, t], y[:, t], a, cfg),
                                    rtol=1e-12)
     np.testing.assert_allclose(batch[:, 0], x0[:, 0], rtol=1e-12)
+
+
+def _reference_refine_em(x0, link_flows, a, config):
+    """The EM loop refine_em ran before it kept its moving columns in one
+    working array: it gathers them from x and scatters them back each step.
+    Returns the estimate, the floor count the warning reports, the steps
+    run, each column's step count and the columns still moving."""
+    vector = np.ndim(x0) == 1
+    x = np.array(x0, dtype=float).reshape(len(x0), -1)
+    y = np.asarray(link_flows, dtype=float).reshape(len(link_flows), -1)
+    col = a.sum(axis=0)
+    fixed = col == 0
+    col_div = np.where(fixed, 1.0, col)[:, None]
+    eps_min = config.delta_em * np.einsum("ij,ij->j", x, x)
+    cols = np.arange(x.shape[1])
+    col_steps = np.full(x.shape[1], config.r_max_em)
+    floored = steps = 0
+    for _ in range(config.r_max_em):
+        if not cols.size:
+            break
+        steps += 1
+        xa, ya = x[:, cols], y[:, cols]
+        ax = a @ xa
+        zero = ax == 0.0
+        hit = zero & (ya > 0)
+        if hit.any():
+            floored = max(floored, int(hit.sum(axis=0).max()))
+        ax[zero] = 1e-12
+        x_new = a.T @ np.divide(ya, ax, out=ax)
+        x_new[fixed] = 1.0
+        x_new *= xa
+        x_new /= col_div
+        x[:, cols] = x_new
+        xa -= x_new
+        keep = np.einsum("ij,ij->j", xa, xa) >= eps_min[cols]
+        col_steps[cols[~keep]] = steps
+        cols = cols[keep]
+    return (x[:, 0] if vector else x), floored, steps, col_steps, cols.size
+
+
+def _em_cases():
+    """(name, x0, y, a, config) cases for the reference comparison."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for seed in range(6):
+        n, links, t = 7 + seed, 4 + seed % 3, 3 + 5 * seed
+        a = (rng.random((links, n)) < 0.4).astype(float)
+        a[rng.integers(0, links, size=n), np.arange(n)] = 1.0
+        x0 = rng.random((n, t)) * 10.0 ** rng.integers(-2, 3, size=t)
+        y = rng.random((links, t)) * 3
+        cases.append((f"stops at different steps {seed}", x0, y, a,
+                      EstimatorConfig(r_max_em=200, delta_em=1e-6)))
+        # integer flows on a 0/1 routing: A x is exact, so every column is a
+        # fixed point and stops after its first step
+        xi = rng.integers(1, 9, size=(n, t)).astype(float)
+        cases.append((f"all stop at step 1 {seed}", xi, a @ xi, a,
+                      EstimatorConfig()))
+        mixed, y_mixed = x0.copy(), y.copy()
+        mixed[:, ::2], y_mixed[:, ::2] = xi[:, ::2], a @ xi[:, ::2]
+        cases.append((f"some stop at step 1 {seed}", mixed, y_mixed, a,
+                      EstimatorConfig(r_max_em=200, delta_em=1e-6)))
+        tiled = np.repeat(x0[:, :1], t, axis=1)
+        cases.append((f"all stop together {seed}", tiled,
+                      np.repeat(y[:, :1], t, axis=1), a,
+                      EstimatorConfig(r_max_em=2000, delta_em=1e-6)))
+        cases.append((f"none stop before the cap {seed}", x0, y, a,
+                      EstimatorConfig(r_max_em=15, delta_em=1e-30)))
+        for r_max in (0, 1):
+            cases.append((f"r_max_em {r_max} {seed}", x0, y, a,
+                          EstimatorConfig(r_max_em=r_max)))
+        unrouted = a.copy()
+        unrouted[:, [0, n - 1]] = 0.0
+        cases.append((f"unrouted pairs {seed}", x0, y, unrouted,
+                      EstimatorConfig(r_max_em=100, delta_em=1e-7)))
+        zeros = x0.copy()
+        zeros[rng.random(zeros.shape) < 0.3] = 0.0
+        zeros[np.ix_(a[0] > 0, np.arange(0, t, 2))] = 0.0  # link 0 unfed
+        cases.append((f"zero starts {seed}", zeros, y, a,
+                      EstimatorConfig(r_max_em=100, delta_em=1e-7)))
+        cases.append((f"vector {seed}", x0[:, 1], y[:, 1], a,
+                      EstimatorConfig(r_max_em=100, delta_em=1e-7)))
+        cases.append((f"empty window {seed}", x0[:, :0], y[:, :0], a,
+                      EstimatorConfig()))
+    return cases
+
+
+@pytest.mark.parametrize("name,x0,y,a,cfg", _em_cases(),
+                         ids=[c[0] for c in _em_cases()])
+def test_em_matches_reference_loop(caplog, name, x0, y, a, cfg):
+    want, floored, steps, col_steps, moving = _reference_refine_em(
+        x0, y, a, cfg)
+    with caplog.at_level(logging.INFO, logger="ttnmf.estimation"):
+        got = refine_em(x0, y, a, cfg)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    info = (f"refine_em: {col_steps.size} columns, {steps} steps, per column "
+            f"median {np.median(col_steps) if col_steps.size else 0:g} and "
+            f"max {col_steps.max(initial=0)}, {moving} still moving at "
+            f"r_max_em")
+    floor = ("refine_em: up to %d links of a column had zero predicted load "
+             "but positive observation; denominator floored" % floored)
+    assert [rec.getMessage() for rec in caplog.records] == (
+        [info, floor] if floored else [info])
+
+
+def test_em_reference_cases_cover_each_kind():
+    # the random cases really stop at different steps, together, at step 1
+    # or not at all, and the zero starts hit the floor
+    for name, x0, y, a, cfg in _em_cases():
+        _, floored, _, col_steps, _ = _reference_refine_em(x0, y, a, cfg)
+        below = col_steps[col_steps < cfg.r_max_em]
+        if name.startswith("stops at different steps"):
+            assert len(set(below.tolist())) > 1, name
+        elif name.startswith("all stop at step 1"):
+            assert set(col_steps.tolist()) == {1}, name
+        elif name.startswith("some stop at step 1"):
+            assert col_steps.min() == 1 < col_steps.max(), name
+        elif name.startswith("all stop together"):
+            assert len(set(col_steps.tolist())) == 1 and below.size, name
+        elif name.startswith("none stop"):
+            assert not below.size, name
+        elif name.startswith("zero starts"):
+            assert floored, name
+
+
+def test_em_leaves_inputs_unchanged():
+    rng = np.random.default_rng(5)
+    a = (rng.random((4, 6)) < 0.5).astype(float)
+    a[rng.integers(0, 4, size=6), np.arange(6)] = 1.0
+    for x0, y in ((rng.random((6, 5)), rng.random((4, 5))),
+                  (rng.random(6), rng.random(4))):
+        x_before, y_before = x0.copy(), y.copy()
+        for r_max in (0, 1, 50):
+            refine_em(x0, y, a, EstimatorConfig(r_max_em=r_max,
+                                                delta_em=1e-6))
+            assert np.array_equal(x0, x_before)
+            assert np.array_equal(y, y_before)
+
+
+def test_em_logs_steps_per_column(caplog):
+    # column 0 is an exact fixed point and stops after one step; the other
+    # two are still moving at the cap
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    x0 = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 3.0], [3.0, 1.0, 1.0]])
+    y = np.stack([a @ x0[:, 0], [5.0, 1.0], [1.0, 7.0]], axis=1)
+    with caplog.at_level(logging.INFO, logger="ttnmf.estimation"):
+        refine_em(x0, y, a, EstimatorConfig(r_max_em=5, delta_em=1e-30))
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "refine_em: 3 columns, 5 steps, per column median 5 and max 5, "
+        "2 still moving at r_max_em"]
 
 
 def test_em_shape_mismatch():
