@@ -159,7 +159,11 @@ class ModelArchive:
 
 
 def save_model(path, archive: ModelArchive) -> None:
-    """Line-oriented text header + length-prefixed little-endian float64 blocks."""
+    """Line-oriented text header + length-prefixed little-endian float64 blocks.
+
+    The header's payload_sha256 is the sha256 of everything after its
+    `matrices` line: each matrix line, length prefix and data block.
+    """
     m = archive.model
     lags = ",".join(str(v) for v in m.lag_set.lags) or "-"
     header = [
@@ -176,25 +180,27 @@ def save_model(path, archive: ModelArchive) -> None:
         ("ar_weights", m.ar_weights),
         ("routing", archive.routing.entries),
     ]
+    payload = []
+    for name, arr in matrices:
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        raw = arr.tobytes(order="C")
+        payload += [f"matrix {name} {arr.shape[0]} {arr.shape[1]}\n"
+                    .encode("ascii"), struct.pack("<Q", len(raw)), raw]
+    digest = hashlib.sha256()
+    for chunk in payload:
+        digest.update(chunk)
+    header.append(f"payload_sha256 {digest.hexdigest()}")
     header.append(f"matrices {len(matrices)}")
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        for name, arr in matrices:
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            fh.write(f"matrix {name} {arr.shape[0]} {arr.shape[1]}\n"
-                     .encode("ascii"))
-            raw = arr.tobytes(order="C")
-            fh.write(struct.pack("<Q", len(raw)))
-            fh.write(raw)
+        fh.writelines(payload)
 
 
 def _read_line(fh, path) -> str:
-    chunk = bytearray()
-    while True:
-        b = fh.read(1)
-        if not b or b == b"\n":
-            break
-        chunk += b
+    """The next line of fh without its newline ("" at the end of the file)."""
+    chunk = fh.readline()
+    if chunk.endswith(b"\n"):
+        chunk = chunk[:-1]
     try:
         return chunk.decode("ascii")
     except UnicodeDecodeError:
@@ -212,7 +218,8 @@ def _parse(path, what, cast, value):
 def load_model(path) -> ModelArchive:
     """Inverse of save_model; matrices round-trip bit-exactly.
 
-    A malformed or truncated archive raises ParseError (or ShapeError /
+    A malformed or truncated archive, or one whose matrix payload does not
+    match its payload_sha256, raises ParseError (or ShapeError /
     ValidationError when well-formed factors do not fit together).
     """
     with open(path, "rb") as fh:
@@ -238,9 +245,12 @@ def load_model(path) -> ModelArchive:
                 provenance[parts[1]] = " ".join(parts[2:])
             else:
                 fields[parts[0]] = parts[1]
+        digest = hashlib.sha256()
         matrices = {}
         for _ in range(n_matrices):
-            head = _read_line(fh, path).split()
+            line = _read_line(fh, path)
+            digest.update(line.encode("ascii") + b"\n")
+            head = line.split()
             if len(head) != 4 or head[0] != "matrix":
                 raise ParseError(f"{path}: bad matrix header {head!r}")
             name = head[1]
@@ -257,8 +267,15 @@ def load_model(path) -> ModelArchive:
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise ParseError(f"{path}: truncated matrix {name}")
+            digest.update(prefix)
+            digest.update(raw)
             matrices[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
 
+    if "payload_sha256" not in fields:
+        raise ParseError(f"{path}: missing header field 'payload_sha256'")
+    if digest.hexdigest() != fields["payload_sha256"]:
+        raise ParseError(f"{path}: matrix payload does not match its "
+                         f"payload_sha256")
     for required in ("spatial", "latent", "ar_weights", "routing"):
         if required not in matrices:
             raise ParseError(f"{path}: missing matrix {required!r}")

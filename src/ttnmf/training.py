@@ -183,29 +183,38 @@ def _spatial_block(x, h, weights, a):
     return grad, err, _positive(2.0 * _norm2(hht))
 
 
-def _latent_block(x, w, omega, lag_set, weights, by_column=False):
+def _latent_block(x, w, omega, lag_set, weights, by_column=False,
+                  row_weight=None):
     """(grad, err, lip) of the latent block with W and the AR weights fixed.
 
     err is the data fit ||X||^2 + <B, W^T W B - 2 W^T X> from the Gram
     products, clamped at 0 like the spatial block's; with by_column and no
     temporal term, where the block separates over columns, it is the data fit
-    of each column.  The temporal Hessian is block-diagonal over rows, with
-    blocks M_p^T M_p for the AR residual operator M_p of row p, and
-    ||M_p||_2 <= 1 + sum_l |w_p(l)|; so lip = 2||W^T W||_2 + lambda_t max_p
-    (1 + sum_l |w_p(l)|)^2 is a valid bound.
+    of each column.  The temporal term of row p is weighted by lambda_t, or
+    by lambda_t row_weight[p] when row_weight is given.  The temporal Hessian
+    is block-diagonal over rows, with blocks M_p^T M_p for the AR residual
+    operator M_p of row p, and ||M_p||_2 <= 1 + sum_l |w_p(l)|; so lip =
+    2||W^T W||_2 + max_p (weight of row p) (1 + sum_l |w_p(l)|)^2 is a valid
+    bound.
     """
     wtw = w.T @ w
     wtx = w.T @ x
     lam = weights.lambda_temporal if len(lag_set) > 0 else 0.0
-    per_column = by_column and lam == 0
+    temporal = lam > 0
+    if temporal and row_weight is not None:
+        lam = lam * np.asarray(row_weight, dtype=float)[:, None]
+    per_column = by_column and not temporal
     xx = np.einsum("ij,ij->j", x, x) if per_column else _frob2(x)
     lip = 2.0 * _norm2(wtw)
-    if lam > 0:
-        lip += lam * float(np.max((1.0 + np.abs(omega).sum(axis=1)) ** 2))
+    if temporal:
+        # for a scalar lam this is lam * max_p(...) exactly: rounding is
+        # monotone, so the max commutes with the product
+        lip += float(np.max(
+            lam * ((1.0 + np.abs(omega).sum(axis=1)) ** 2)[:, None]))
 
     def grad(c):
         g = 2.0 * (wtw @ c - wtx)
-        if lam > 0:
+        if temporal:
             g += lam * temporal_penalty_gradient(c, omega, lag_set)
         return g
 
@@ -267,22 +276,6 @@ def block_gradient(block: str, x, model: FactorModel,
     return _block(block, x, model, weights, a)[0](current)
 
 
-def block_lipschitz(block: str, x, model: FactorModel,
-                    weights: RegularizationWeights, row: int | None = None) -> float:
-    """Step-size denominator that training uses for one block.
-
-    Spatial: 2||H H^T||_2.  Latent: 2||W^T W||_2 + lambda_t max_p (1 +
-    sum_l |w_p(l)|)^2.  AR row: lambda_t ||G_row||_2.  1.0 where the
-    curvature vanishes.  No step depends on the data, so x may be None.
-    """
-    if block == "ar" and row is None:
-        raise UsageError("the ar block needs a row index")
-    x = (np.zeros((model.n_flows, model.n_timestamps)) if x is None
-         else np.asarray(x, dtype=float))
-    # the routing enters only the spatial gradient, which is not evaluated
-    return _block(block, x, model, weights, None, row)[2]
-
-
 def _update_spatial(x, w, h, weights, a, q_max, delta):
     return _nesterov_loop(w, *_spatial_block(x, h, weights, a), q_max,
                           rel_tol=delta)
@@ -298,25 +291,6 @@ def _update_ar(h, omega, lag_set, lam, q_max, delta):
                            rel_tol=delta) for p in range(h.shape[0])]
     return (np.reshape([r for r, _ in rows], omega.shape),
             sum(n for _, n in rows))
-
-
-def fast_gradient_update(block: str, x, model: FactorModel,
-                         weights: RegularizationWeights, routing,
-                         q_block_max: int = 10,
-                         delta_block: float = 1e-3) -> np.ndarray:
-    """One inner accelerated-gradient pass over a block.
-
-    The returned block never measures worse than the entry point on the
-    block's error (data fit for spatial/latent, AR residual for ar).
-    """
-    if block == "ar":
-        return _update_ar(model.latent, model.ar_weights, model.lag_set,
-                          weights.lambda_temporal, q_block_max, delta_block)[0]
-    triple = _block(block, np.asarray(x, dtype=float), model, weights,
-                    routing_array(routing))
-    current = model.spatial if block == "spatial" else model.latent
-    return _nesterov_loop(current, *triple, q_block_max,
-                          rel_tol=delta_block)[0]
 
 
 def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,

@@ -327,6 +327,31 @@ def test_corrupt_archive_exits_2(tmp_path, capsys):
         assert err.startswith("ttnmf: ") and err.count("\n") == 1, (name, err)
 
 
+def test_flipped_latent_byte_exits_2(tmp_path, capsys):
+    # a flip in the lowest mantissa byte keeps the value finite and
+    # positive, so only the payload checksum can catch it
+    good = tmp_path / "model.ttnmf"
+    routing = _tiny_archive(good)
+    from ttnmf import write_matrix_csv
+    links = tmp_path / "links.csv"
+    write_matrix_csv(links, routing.entries @ np.ones((3, 2)))
+    data = good.read_bytes()
+    start = data.index(b"\n", data.index(b"matrix latent")) + 9
+    for offset in (0, 17):
+        flipped = bytearray(data)
+        flipped[start + offset] ^= 0x01
+        bad = tmp_path / "bad.ttnmf"
+        bad.write_bytes(bytes(flipped))
+        value = struct.unpack_from("<d", flipped, start + offset // 8 * 8)[0]
+        assert np.isfinite(value) and value > 0
+        code = main(["estimate", "--out", str(tmp_path / "run"), "--model",
+                     str(bad), "--linkflows", str(links)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ttnmf: ") and err.count("\n") == 1, err
+        assert "payload_sha256" in err
+
+
 def test_malformed_csv_and_config_exit_cleanly(tmp_path, capsys):
     from ttnmf import write_matrix_csv
     model = tmp_path / "model.ttnmf"

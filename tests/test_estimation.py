@@ -5,7 +5,10 @@ Covers:
   - latent window fit: orthonormal exact recovery, zero input, all-zero
     compact routing guard, never-worse-than-seed, nonneg least-squares
     residual vs. exhaustive active-set enumeration and scipy's solver, the
-    trained AR prior used only on windows longer than max_lag
+    trained AR prior used only on windows longer than max_lag; the
+    Jacobi-scaled rows: 100 scaled steps against 200 unscaled ones on an
+    ill-conditioned window, the descent lemma for the scaled block's step,
+    the info line's data fit, penalized objective and gradient mapping
   - EM refinement: exact fixed point, zero observation, boundary ML problem
     against a grid-search oracle, scale equivariance, zero-column skip,
     denominator floor logging, byte identity and the same log lines as the
@@ -15,15 +18,19 @@ Covers:
 
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from ttnmf.errors import ConfigError, ShapeError
-from ttnmf.estimation import (EstimatorConfig, estimate_latent,
+from ttnmf.estimation import (WINDOW_ITERS, WINDOW_NOISE, EstimatorConfig,
+                              _scaled_block, estimate_latent,
                               estimate_od_flow, estimate_od_flows, refine_em)
-from ttnmf.factors import FactorModel, LagSet, RegularizationWeights
+from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
+                           temporal_penalty_value)
+from ttnmf.training import _latent_block, _nesterov_loop
 
 
 def _orthonormal_model(n=6, k=3, T=4):
@@ -156,6 +163,99 @@ def test_latent_short_window_ignores_ar_prior():
         y = rng.random((5, width)) * 5
         np.testing.assert_array_equal(estimate_latent(y, prior),
                                       estimate_latent(y, base))
+
+
+def _ill_conditioned_window(seed, lam_t=30.0):
+    """A window whose compact routing has column norms spread over more than
+    1e2, with latent rows that follow the model's AR(2) prior."""
+    rng = np.random.default_rng(seed)
+    links, n, k, T = 20, 30, 6, 80
+    spread = np.logspace(0.0, 2.5, k)
+    routing = (rng.random((links, n)) < 0.3).astype(float)
+    ar = np.tile([0.6, 0.3], (k, 1))
+    h = np.empty((k, T))
+    h[:, :2] = rng.random((k, 2))
+    for t in range(2, T):
+        h[:, t] = 0.6 * h[:, t - 1] + 0.3 * h[:, t - 2] + 0.1 * rng.random(k)
+    model = FactorModel.from_factors(
+        rng.random((n, k)) * spread, h / spread[:, None], ar, LagSet((1, 2)),
+        routing, RegularizationWeights(lambda_temporal=lam_t))
+    c = model.compact_routing
+    y = np.maximum(c @ model.latent
+                   * (1.0 + 0.05 * rng.standard_normal((links, T))), 0.0)
+    return model, y
+
+
+def _penalized(model, y, h):
+    """(||Y - C H||^2, that plus lambda_t * temporal penalty), from the full
+    residual."""
+    fit = float(np.sum((y - model.compact_routing @ h) ** 2))
+    return fit, fit + model.weights.lambda_temporal * temporal_penalty_value(
+        h, model.ar_weights, model.lag_set, "residual")
+
+
+def test_scaled_window_fit_beats_unscaled_loop_at_200_steps():
+    assert WINDOW_ITERS == 100
+    for seed in range(3):
+        model, y = _ill_conditioned_window(seed)
+        c = model.compact_routing
+        norms = np.linalg.norm(c, axis=0)
+        assert norms.max() >= 1e2 * norms.min()
+        start = np.maximum(np.linalg.lstsq(c, y, rcond=None)[0], 0.0)
+        unscaled, _ = _nesterov_loop(
+            start, *_latent_block(y, c, model.ar_weights, model.lag_set,
+                                  model.weights, by_column=True),
+            200, noise=WINDOW_NOISE)
+        scaled = estimate_latent(y, model)
+        assert scaled.min() >= 0
+        assert (_penalized(model, y, scaled)[1]
+                <= _penalized(model, y, unscaled)[1]), seed
+
+
+def test_scaled_latent_step_never_raises_penalized_objective():
+    # descent lemma: with a true Lipschitz bound L of the gradient, one
+    # projected step of 1/L from any feasible point never raises the
+    # objective.  lambda_t is large, so the temporal part of L dominates
+    rng = np.random.default_rng(30)
+    for seed in range(5):
+        model, y = _ill_conditioned_window(seed, lam_t=1e5)
+        c = model.compact_routing
+        d, grad, err, lip = _scaled_block(y, c, model, model.lag_set)
+        unscaled = _latent_block(y, c, model.ar_weights, model.lag_set,
+                                 model.weights)[0]
+        for _ in range(20):
+            g = d[:, None] * model.latent * rng.random(model.latent.shape) * 3
+            g[rng.random(g.shape) < 0.2] = 0.0
+            h = g / d[:, None]
+            # the same problem in G = D H: the data fit of H, D^-1 its gradient
+            fit, f_now = _penalized(model, y, h)
+            assert err(g) == pytest.approx(fit, rel=1e-9)
+            want = unscaled(h) / d[:, None]
+            np.testing.assert_allclose(grad(g), want, rtol=1e-9,
+                                       atol=1e-9 * np.abs(want).max())
+            step = np.maximum(g - grad(g) / lip, 0.0)
+            f_next = _penalized(model, y, step / d[:, None])[1]
+            assert f_next <= f_now * (1 + 1e-12), seed
+
+
+def test_window_fit_logs_fit_objective_and_gradient_mapping(caplog):
+    model, y = _ill_conditioned_window(0)
+    with caplog.at_level(logging.INFO, logger="ttnmf.estimation"):
+        h = estimate_latent(y, model)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("window fit:")]
+    assert len(lines) == 1
+    found = re.fullmatch(
+        r"window fit: 80 columns, (\d+) iterations( \(cap reached\))?, data "
+        r"fit (\S+) of \|\|Y\|\|\^2, penalized objective (\S+), gradient "
+        r"mapping (\S+) of the start's", lines[0])
+    assert found, lines[0]
+    steps, cap, fit_rel, objective, mapping = found.groups()
+    assert int(steps) == WINDOW_ITERS and cap
+    fit, penalized = _penalized(model, y, h)
+    assert float(fit_rel) == pytest.approx(fit / np.sum(y * y), rel=1e-6)
+    assert float(objective) == pytest.approx(penalized, rel=1e-6)
+    assert 0.0 < float(mapping) < 1.0
 
 
 def test_latent_shape_mismatch():

@@ -1,5 +1,8 @@
 """CSV loading and validation, config parsing, model archive round trip."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,20 @@ def test_archive_save_is_deterministic(tmp_path):
     save_model(p1, arch)
     save_model(p2, arch)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_archive_payload_checksum(tmp_path):
+    # the header names the sha256 of all bytes after the `matrices` line
+    p = tmp_path / "m"
+    save_model(p, _small_archive())
+    data = p.read_bytes()
+    found = re.search(rb"\npayload_sha256 ([0-9a-f]{64})\nmatrices 4\n", data)
+    assert found
+    assert (hashlib.sha256(data[found.end():]).hexdigest().encode()
+            == found.group(1))
+    p.write_bytes(data[:found.start() + 1] + data[found.end(1) + 1:])
+    with pytest.raises(ParseError, match="payload_sha256"):
+        load_model(p)
 
 
 def test_archive_bad_magic(tmp_path):

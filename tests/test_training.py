@@ -3,8 +3,8 @@
 Covers:
   - config validation and per-block thresholds
   - momentum schedule hand value
-  - analytic gradients: stationary point, finite differences, lambda = 0
-    reduction
+  - analytic gradients: stationary point, finite differences (also with
+    per-row temporal weights), lambda = 0 reduction
   - step-size denominators: identity case, Hessian power-iteration oracle,
     upper-bound property with the temporal term, degenerate guards
   - block errors from the Gram products against the direct residual, near
@@ -30,12 +30,33 @@ import ttnmf.training as training
 from ttnmf.errors import ConfigError, NumericalFailure, ShapeError, UsageError
 from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
                            build_lag_design_matrix, build_temporal_graph,
-                           objective_value, ortho_penalty_value)
+                           objective_value, ortho_penalty_value,
+                           temporal_penalty_value)
 from ttnmf.network import TrafficMatrix, generate_synthetic
-from ttnmf.training import (TrainConfig, block_gradient, block_lipschitz,
-                            em_mask_step, fast_gradient_update,
+from ttnmf.training import (TrainConfig, block_gradient, em_mask_step,
                             fill_missing_weighted, next_momentum, train,
                             tune_penalties)
+
+
+def block_lipschitz(block, x, model, weights, row=None):
+    """The step-size denominator training uses for one block (1.0 where the
+    curvature vanishes).  No step depends on the data, so x may be None."""
+    if block == "ar" and row is None:
+        raise UsageError("the ar block needs a row index")
+    x = (np.zeros((model.n_flows, model.n_timestamps)) if x is None
+         else np.asarray(x, dtype=float))
+    # the routing enters only the spatial gradient, which is not evaluated
+    return training._block(block, x, model, weights, None, row)[2]
+
+
+def fast_gradient_update(block, x, model, weights, routing, q_block_max=10,
+                         delta_block=1e-3):
+    """One inner pass of training's loop over the spatial or latent block."""
+    triple = training._block(block, np.asarray(x, dtype=float), model,
+                             weights, training.routing_array(routing))
+    current = model.spatial if block == "spatial" else model.latent
+    return training._nesterov_loop(current, *triple, q_block_max,
+                                   rel_tol=delta_block)[0]
 
 
 def _model(rng, n=6, k=3, T=15, lags=(1, 2), m=4):
@@ -128,6 +149,39 @@ def test_gradients_match_finite_differences():
             fd /= 2 * eps
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel <= 1e-5, block
+
+
+def test_row_weighted_latent_gradient_matches_finite_differences():
+    # the latent block with a per-row temporal weight lambda_t r_p, as the
+    # window fit uses it on Jacobi-scaled rows, against central differences
+    # of ||X - W H||^2 + lambda_t sum_p r_p * (temporal penalty of row p)
+    rng = np.random.default_rng(43)
+    weights = RegularizationWeights(0.7, 0.4, 0.2, 0.2)
+    eps = 1e-6
+    for _ in range(5):
+        model, _ = _model(rng)
+        x = rng.random((6, 15)) * 3
+        r = 10.0 ** rng.uniform(-2.0, 2.0, model.rank)
+
+        def objective(h):
+            temporal = sum(r[p] * temporal_penalty_value(
+                h[p:p + 1], model.ar_weights[p:p + 1], model.lag_set,
+                "residual") for p in range(model.rank))
+            return (float(np.sum((x - model.spatial @ h) ** 2))
+                    + weights.lambda_temporal * temporal)
+
+        grad = training._latent_block(x, model.spatial, model.ar_weights,
+                                      model.lag_set, weights,
+                                      row_weight=r)[0](model.latent)
+        fd = np.zeros_like(model.latent)
+        for idx in np.ndindex(fd.shape):
+            for sign in (1.0, -1.0):
+                pert = model.latent.copy()
+                pert[idx] += sign * eps
+                fd[idx] += sign * objective(pert)
+        fd /= 2 * eps
+        rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
+        assert rel <= 1e-5
 
 
 def test_spatial_gradient_reduces_without_penalties():
