@@ -181,6 +181,14 @@ def _replaced_on_success(path: Path):
         tmp.unlink(missing_ok=True)
 
 
+@contextlib.contextmanager
+def _text_replaced_on_success(path: Path):
+    """A text file handle for _replaced_on_success(path), with \\n endings."""
+    with _replaced_on_success(path) as tmp, \
+            open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
+
+
 def _cmd_synth(args) -> int:
     cfg = _load_config(args)
     get = lambda key: _setting(args, cfg, {}, key)
@@ -253,16 +261,17 @@ def _cmd_train(args) -> int:
     out = _outdir(args)
     config_text = "\n".join(
         f"{k}={v}" for k, v in sorted(vars(config).items())) + "\n"
+    # both entries arrays are C-contiguous, so their buffers hash as their
+    # tobytes() would, without a copy
     provenance = {
         "config_sha256": sha256_hex(config_text.encode()),
-        "traffic_sha256": sha256_hex(traffic.entries.tobytes()),
-        "routing_sha256": sha256_hex(routing.entries.tobytes()),
+        "traffic_sha256": sha256_hex(traffic.entries),
+        "routing_sha256": sha256_hex(routing.entries),
     }
     # a failed or interrupted write leaves no partial output behind
     with _replaced_on_success(out / "model.ttnmf") as tmp:
         save_model(tmp, ModelArchive(model, routing, provenance))
-    with _replaced_on_success(out / "trace.csv") as tmp, \
-            open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with _text_replaced_on_success(out / "trace.csv") as fh:
         fh.write("q,e_q,f_q,wall_ms\n")
         for q, (e, f, ms) in enumerate(zip(report.objective_trace,
                                            report.penalized_trace,
@@ -291,7 +300,8 @@ def _cmd_estimate(args) -> int:
                              delta_em=get("delta_em"))
     estimates = estimate_od_flows(links, archive.model, archive.routing, config)
     out = _outdir(args)
-    write_matrix_csv(out / "estimated.csv", estimates)
+    with _replaced_on_success(out / "estimated.csv") as tmp:
+        write_matrix_csv(tmp, estimates)
     logger.info("estimate: %d columns estimated", estimates.shape[1])
     return 0
 
@@ -310,11 +320,12 @@ def _cmd_evaluate(args) -> int:
     row_err = sre(x_true, x_est)
     col_err = tre(x_true, x_est)
     out = _outdir(args)
-    write_matrix_csv(out / "sre.csv", row_err.values.reshape(-1, 1))
-    write_matrix_csv(out / "tre.csv", col_err.values.reshape(-1, 1))
+    for name, err in (("sre.csv", row_err), ("tre.csv", col_err)):
+        with _replaced_on_success(out / name) as tmp:
+            write_matrix_csv(tmp, err.values.reshape(-1, 1))
     row_stats = summary_stats(row_err)
     col_stats = summary_stats(col_err)
-    with open(out / "stats.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with _text_replaced_on_success(out / "stats.csv") as fh:
         fh.write("stat,sre,tre\n")
         for key in ("min", "max", "mean", "median", "std"):
             fh.write(f"{key},{format_float(row_stats[key])},"
@@ -322,7 +333,7 @@ def _cmd_evaluate(args) -> int:
         fh.write(f"undefined,{len(row_err.undefined_indices)},"
                  f"{len(col_err.undefined_indices)}\n")
     for name, err in (("cdf_sre.csv", row_err), ("cdf_tre.csv", col_err)):
-        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
+        with _text_replaced_on_success(out / name) as fh:
             fh.write("value,fraction\n")
             for value, fraction in cdf_points(err):
                 fh.write(f"{format_float(value)},{format_float(fraction)}\n")

@@ -258,34 +258,71 @@ def routing_array(routing) -> np.ndarray:
     return arr
 
 
+# values of one block of lagged windows gathered by _lag_window_sums; the
+# blocks keep the gather buffer small against a k x T latent matrix
+LAG_WINDOW_BLOCK = 1 << 16
+
+
+def _lag_window_sums(series, taps, starts, width, out):
+    """out[p, t] = sum_j taps[p, j] series[p, starts[j] + t] for t < width.
+
+    Each block of rows copies its windows into one buffer and sums them in
+    one einsum call.  Without optimize, einsum runs along t and adds the
+    products in order of j, each product rounded apart (on builds whose SIMD
+    baseline has no fused multiply-add, such as x86-64), so taps
+    [1, -w_1, ...] round exactly as subtracting w_1 h_1, w_2 h_2, ... one by
+    one.  A single column would make einsum reduce over j in SIMD lanes
+    instead, so that case adds the products one by one.
+    """
+    if width < 2:
+        out[...] = 0.0
+        for j, s in enumerate(starts):
+            out += taps[:, j, None] * series[:, s : s + width]
+        return out
+    k = series.shape[0]
+    rows = max(1, LAG_WINDOW_BLOCK // (len(starts) * width))
+    windows = np.empty((min(rows, k), len(starts), width))
+    for p0 in range(0, k, rows):
+        p1 = min(p0 + rows, k)
+        block = windows[: p1 - p0]
+        for j, s in enumerate(starts):
+            block[:, j] = series[p0:p1, s : s + width]
+        np.einsum("pj,pjt->pt", taps[p0:p1], block, out=out[p0:p1])
+    return out
+
+
+def _lag_taps(ar_weights, k) -> np.ndarray:
+    """The k x (1 + |lags|) lag filter: 1 at lag 0, -w_p(l) at lag l."""
+    return np.concatenate((np.ones((k, 1)), -np.reshape(ar_weights, (k, -1))),
+                          axis=1)
+
+
 def ar_residual(latent, ar_weights, lag_set: LagSet) -> np.ndarray:
     """AR residuals of all latent rows over the window t >= max_lag.
 
     For a nonempty lag set, returns the k x (T - max_lag) array whose entry
-    (p, t - max_lag) is h_p(t) - sum_l w_p(l) h_p(t - l); one slice per lag.
+    (p, t - max_lag) is h_p(t) - sum_l w_p(l) h_p(t - l).
     """
     L = lag_set.max_lag
-    T = latent.shape[1]
-    resid = latent[:, L:].copy()
-    for q, lag in enumerate(lag_set.lags):
-        resid -= ar_weights[:, q, None] * latent[:, L - lag : T - lag]
-    return resid
+    k, T = latent.shape
+    return _lag_window_sums(latent, _lag_taps(ar_weights, k),
+                            (L, *(L - lag for lag in lag_set.lags)), T - L,
+                            np.empty((k, T - L)))
 
 
 def temporal_penalty_gradient(latent, ar_weights, lag_set: LagSet) -> np.ndarray:
     """Gradient of temporal_penalty_value with respect to the latent rows.
 
-    The AR residual correlated with the lag filter (-1 at lag 0, w_p(l) at
-    lag l); row p equals build_temporal_graph(...).gradient of that row.
+    The AR residual correlated with the lag filter (1 at lag 0, -w_p(l) at
+    lag l): the same kernel over the residual zero-padded by max_lag on both
+    sides.  Row p equals build_temporal_graph(...).gradient of that row.
     """
     L = lag_set.max_lag
-    T = latent.shape[1]
-    resid = ar_residual(latent, ar_weights, lag_set)
-    grad = np.zeros_like(latent)
-    grad[:, L:] = resid
-    for q, lag in enumerate(lag_set.lags):
-        grad[:, L - lag : T - lag] -= ar_weights[:, q, None] * resid
-    return grad
+    k, T = latent.shape
+    padded = np.zeros((k, T + L))
+    padded[:, L:T] = ar_residual(latent, ar_weights, lag_set)
+    return _lag_window_sums(padded, _lag_taps(ar_weights, k),
+                            (0, *lag_set.lags), T, np.empty((k, T)))
 
 
 def temporal_penalty_value(latent, ar_weights, lag_set: LagSet, form: str) -> float:
@@ -345,14 +382,23 @@ def objective_terms(x, model: FactorModel, weights: RegularizationWeights,
         raise ShapeError(
             f"data shape {x.shape} != ({model.n_flows}, {model.n_timestamps})")
     resid = x - model.spatial @ model.latent
+    return (float(np.vdot(resid, resid)),
+            *penalty_terms(model.spatial, model.latent, model.ar_weights,
+                           model.lag_set, weights, routing_arr))
+
+
+def penalty_terms(spatial, latent, ar_weights, lag_set: LagSet,
+                  weights: RegularizationWeights, routing) -> tuple:
+    """(lambda_t * temporal penalty, lambda_o * orthogonality penalty of
+    routing @ spatial), the last two of objective_terms."""
     temporal = ortho = 0.0
-    if weights.lambda_temporal > 0 and len(model.lag_set) > 0:
+    if weights.lambda_temporal > 0 and len(lag_set) > 0:
         temporal = weights.lambda_temporal * temporal_penalty_value(
-            model.latent, model.ar_weights, model.lag_set, "residual")
+            latent, ar_weights, lag_set, "residual")
     if weights.lambda_ortho > 0:
         ortho = weights.lambda_ortho * ortho_penalty_value(
-            routing_arr @ model.spatial)
-    return float(np.vdot(resid, resid)), temporal, ortho
+            routing_array(routing) @ spatial)
+    return temporal, ortho
 
 
 def objective_value(x, model: FactorModel, weights: RegularizationWeights,

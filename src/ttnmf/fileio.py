@@ -144,7 +144,8 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def sha256_hex(data: bytes) -> str:
+def sha256_hex(data) -> str:
+    """Hex sha256 of bytes or of a C-contiguous buffer such as an ndarray."""
     return hashlib.sha256(data).hexdigest()
 
 

@@ -12,8 +12,8 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure, ShapeError, UsageError
 from .factors import (FactorModel, LagSet, RegularizationWeights,
                       build_lag_design_matrix, build_temporal_graph,
-                      objective_terms, ortho_penalty_value, routing_array,
-                      temporal_penalty_gradient)
+                      objective_terms, ortho_penalty_value, penalty_terms,
+                      routing_array, temporal_penalty_gradient)
 # build_temporal_graph is the paper-form oracle; training never calls it, and
 # it stays importable here so that bench/tracing.py can count calls to it
 from .initialization import init_factors_svd, init_lag_weights
@@ -68,8 +68,9 @@ class TrainReport:
     """What happened during a train() call.
 
     objective_trace holds the data fit and penalized_trace the penalized
-    objective, at the seed and after every outer iteration; stop_reason is
-    "converged" or "q_max".
+    objective, at the seed and after every outer iteration; the data fit is
+    ||X - W H||^2 at the seed and the latent block's Gram form after that.
+    stop_reason is "converged" or "q_max".
     """
 
     objective_trace: list
@@ -282,8 +283,10 @@ def _update_spatial(x, w, h, weights, a, q_max, delta):
 
 
 def _update_latent(x, w, h, omega, lag_set, weights, q_max, delta):
-    return _nesterov_loop(h, *_latent_block(x, w, omega, lag_set, weights),
-                          q_max, rel_tol=delta)
+    """(H, iterations, the block's Gram-form data fit at H)."""
+    grad, err, lip = _latent_block(x, w, omega, lag_set, weights)
+    h, n = _nesterov_loop(h, grad, err, lip, q_max, rel_tol=delta)
+    return h, n, err(h)
 
 
 def _update_ar(h, omega, lag_set, lam, q_max, delta):
@@ -400,13 +403,15 @@ def _check_finite(name, arr, iteration, snapshot):
 
 def _outer_iteration(x, w, h, omega, weights, a, config, q):
     """Outer iteration q: W, H, then Omega if there is a temporal term, each
-    checked for non-finite values.  Returns (w, h, omega, block iterations)."""
+    checked for non-finite values.  Returns (w, h, omega, data fit, block
+    iterations), the data fit in the latent block's Gram form."""
     snapshot = {"spatial": w, "latent": h, "ar_weights": omega, "iteration": q}
     w, it_s = _update_spatial(x, w, h, weights, a, config.q_block_max,
                               config.block_delta("spatial"))
     _check_finite("spatial", w, q, snapshot)
-    h, it_l = _update_latent(x, w, h, omega, config.lag_set, weights,
-                             config.q_block_max, config.block_delta("latent"))
+    h, it_l, fit = _update_latent(x, w, h, omega, config.lag_set, weights,
+                                  config.q_block_max,
+                                  config.block_delta("latent"))
     _check_finite("latent", h, q, snapshot)
     it_a = 0
     if weights.lambda_temporal > 0 and len(config.lag_set) > 0:
@@ -414,7 +419,7 @@ def _outer_iteration(x, w, h, omega, weights, a, config, q):
                                  weights.lambda_temporal, config.q_block_max,
                                  config.block_delta("ar"))
         _check_finite("ar_weights", omega, q, snapshot)
-    return w, h, omega, (it_s, it_l, it_a)
+    return w, h, omega, fit, (it_s, it_l, it_a)
 
 
 def train(traffic, routing, config: TrainConfig):
@@ -422,9 +427,10 @@ def train(traffic, routing, config: TrainConfig):
 
     Returns (FactorModel, TrainReport); the model carries the penalty weights
     it was trained with.  The objective trace records the data-fit error
-    after every outer iteration and never increases.  Training stops at
-    q_max, or once the penalized objective F falls by less than delta * F of
-    the previous iteration; a rise of F never stops it.
+    after every outer iteration and never increases; it comes from the
+    latent block's Gram products, so no iteration forms the n x T residual.
+    Training stops at q_max, or once the penalized objective F falls by less
+    than delta * F of the previous iteration; a rise of F never stops it.
     """
     config.validate()
     if isinstance(traffic, np.ndarray):
@@ -453,9 +459,9 @@ def train(traffic, routing, config: TrainConfig):
         # penalties tuned at the zero-filled seed come out far too strong,
         # so tune them after a penalty-free warm-up on the EM-filled data
         for q in range(1, EM_WARMUP_ITERS + 1):
-            w, h, _, _ = _outer_iteration(em_mask_step(x, mask, w, h), w, h,
-                                          None, RegularizationWeights(), a,
-                                          config, q)
+            w, h, _, _, _ = _outer_iteration(
+                em_mask_step(x, mask, w, h), w, h, None,
+                RegularizationWeights(), a, config, q)
     x_work = em_mask_step(x, mask, w, h) if em_active else x
     omega = init_lag_weights(h, config.lag_set)
     lam_t, lam_o = tune_penalties(x_work, w, h, omega, config.lag_set,
@@ -475,13 +481,13 @@ def train(traffic, routing, config: TrainConfig):
     for q in range(1, config.q_max + 1):
         if em_active:
             x_work = em_mask_step(x, mask, w, h)
-        w, h, omega, iters = _outer_iteration(x_work, w, h, omega, weights, a,
-                                              config, q)
+        w, h, omega, fit, iters = _outer_iteration(x_work, w, h, omega,
+                                                   weights, a, config, q)
         for b, n_b in zip(BLOCKS, iters):
             counts[b].append(n_b)
-        terms = objective_terms(x_work, model_at(w, h, omega), weights, a)
-        trace.append(terms[0])
-        f_trace.append(sum(terms))
+        temporal, ortho = penalty_terms(w, h, omega, config.lag_set, weights, a)
+        trace.append(fit)
+        f_trace.append(fit + temporal + ortho)
         wall_ms.append((time.perf_counter() - t0) * 1000.0)
         if 0.0 <= f_trace[-2] - f_trace[-1] < config.delta * f_trace[-2]:
             stop_reason = "converged"

@@ -465,3 +465,66 @@ def test_failed_train_write_leaves_previous_outputs(tmp_path, monkeypatch):
         _train(data, out)
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert after == before
+
+
+@pytest.mark.parametrize("split", [None, 40])
+def test_train_provenance_hashes_the_input_matrices(tmp_path, split):
+    import hashlib
+    data, out = tmp_path / "data", tmp_path / "run"
+    _synth(data)
+    extra = () if split is None else ("--split", str(split))
+    assert _train(data, out, *extra) == 0
+    traffic = load_matrix_csv(data / "traffic.csv", "traffic")[:, :split]
+    routing = load_matrix_csv(data / "routing.csv", "routing")
+    prov = load_model(out / "model.ttnmf").provenance
+    # the digests of the matrices' row-major bytes, as tobytes() gives them
+    assert prov["traffic_sha256"] == hashlib.sha256(traffic.tobytes()).hexdigest()
+    assert prov["routing_sha256"] == hashlib.sha256(routing.tobytes()).hexdigest()
+
+
+def _failing_write(path, matrix):
+    with open(path, "w") as fh:
+        fh.write("0.5,")
+    raise OSError("disk full")
+
+
+def test_failed_estimate_write_leaves_previous_estimate(tmp_path, monkeypatch):
+    import ttnmf.cli
+    data, out = tmp_path / "data", tmp_path / "run"
+    _synth(data)
+    assert _train(data, out) == 0
+    argv = ["estimate", "--out", str(out), "--model", str(out / "model.ttnmf"),
+            "--linkflows", str(data / "linkflows.csv")]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(ttnmf.cli, "write_matrix_csv", _failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("failing", ["write_matrix_csv", "cdf_points"])
+def test_failed_evaluate_write_leaves_previous_outputs(tmp_path, monkeypatch,
+                                                       failing):
+    import ttnmf.cli
+    from ttnmf import write_matrix_csv
+    data, out = tmp_path / "data", tmp_path / "run"
+    _synth(data)
+    write_matrix_csv(tmp_path / "est.csv",
+                     1.1 * load_matrix_csv(data / "traffic.csv", "traffic"))
+    argv = ["evaluate", "--out", str(out), "--true", str(data / "traffic.csv"),
+            "--est", str(tmp_path / "est.csv")]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"sre.csv", "tre.csv", "stats.csv", "cdf_sre.csv",
+                           "cdf_tre.csv"}
+
+    def failing_cdf(err):
+        yield 0.5, 0.5
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ttnmf.cli, failing, _failing_write
+                        if failing == "write_matrix_csv" else failing_cdf)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

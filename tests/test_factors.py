@@ -5,6 +5,8 @@ Covers:
   - lag design matrix against hand-worked values
   - temporal graph vs. the direct AR-residual sum (cross-form oracle)
   - vectorised temporal gradient vs. the per-row graph gradient
+  - lag-window kernel byte-equal to per-lag loops (edge shapes, row blocks),
+    and train + estimate unchanged with the per-lag loops swapped in
   - Laplacian/weight-matrix structure (symmetry, no self loops, row sums)
   - orthogonality penalty hand values and the zero <=> orthonormal property
   - objective_value as the sum of independently computed terms, permutation
@@ -14,11 +16,13 @@ Covers:
 import numpy as np
 import pytest
 
+import ttnmf.factors as factors
 from ttnmf.errors import ConfigError, ShapeError, UsageError
 from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
-                           build_lag_design_matrix, build_temporal_graph,
-                           objective_value, ortho_penalty_value,
-                           temporal_penalty_gradient, temporal_penalty_value)
+                           ar_residual, build_lag_design_matrix,
+                           build_temporal_graph, objective_value,
+                           ortho_penalty_value, temporal_penalty_gradient,
+                           temporal_penalty_value)
 
 
 def _residual_penalty(latent, ar, lag_set):
@@ -197,6 +201,96 @@ def test_temporal_gradient_matches_graph_oracle():
             oracle = build_temporal_graph(ar[p], ls, T).gradient(latent[p])
             err = np.linalg.norm(grad[p] - oracle)
             assert err <= 1e-12 * np.linalg.norm(oracle), (lags, T, p)
+
+
+def _per_lag_residual(latent, ar, lag_set):
+    # one rounded multiply and subtract per lag, in lag order
+    L, T = lag_set.max_lag, latent.shape[1]
+    resid = latent[:, L:].copy()
+    for q, lag in enumerate(lag_set.lags):
+        resid -= ar[:, q, None] * latent[:, L - lag : T - lag]
+    return resid
+
+
+def _per_lag_gradient(latent, ar, lag_set):
+    L, T = lag_set.max_lag, latent.shape[1]
+    resid = _per_lag_residual(latent, ar, lag_set)
+    grad = np.zeros_like(latent)
+    grad[:, L:] = resid
+    for q, lag in enumerate(lag_set.lags):
+        grad[:, L - lag : T - lag] -= ar[:, q, None] * resid
+    return grad
+
+
+@pytest.mark.parametrize("k,T,lags,block", [
+    (1, 40, (1, 3, 12), None),        # one latent row
+    (4, 30, (5,), None),              # one lag
+    (3, 13, (1, 4, 12), None),        # T = max_lag + 1: one residual
+    (1, 4, (1, 2, 3), None),          # one row and one residual
+    (5, 40, (1, 3), 250),             # 2 rows per block: 2 + 2 + 1
+    (5, 40, (1, 3), 1),               # 1 row per block
+    (20, 400, (1, 2, 3, 12, 24, 96, 102, 108, 288), None),
+])
+def test_lag_window_kernel_is_byte_equal_to_per_lag_loops(monkeypatch, k, T,
+                                                          lags, block):
+    if block is not None:
+        monkeypatch.setattr(factors, "LAG_WINDOW_BLOCK", block)
+    rng = np.random.default_rng(k * T)
+    ls = LagSet(lags)
+    latent = rng.random((k, T)) * 1e3
+    for ar in (rng.random((k, len(ls))), np.zeros((k, len(ls)))):
+        got = ar_residual(latent, ar, ls)
+        assert got.tobytes() == _per_lag_residual(latent, ar, ls).tobytes()
+        got = temporal_penalty_gradient(latent, ar, ls)
+        assert got.tobytes() == _per_lag_gradient(latent, ar, ls).tobytes()
+
+
+def test_lag_window_kernel_byte_equal_randomized(monkeypatch):
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        monkeypatch.setattr(factors, "LAG_WINDOW_BLOCK",
+                            int(rng.choice([1, 7, 100, 1000, 1 << 16])))
+        ls = LagSet(rng.choice(np.arange(1, 30), size=rng.integers(1, 8),
+                               replace=False).tolist())
+        T = int(rng.integers(ls.max_lag + 1, ls.max_lag + 40))
+        k = int(rng.integers(1, 9))
+        latent = rng.random((k, T)) * 10.0 ** rng.integers(-3, 6)
+        ar = rng.random((k, len(ls)))
+        assert (ar_residual(latent, ar, ls).tobytes()
+                == _per_lag_residual(latent, ar, ls).tobytes())
+        assert (temporal_penalty_gradient(latent, ar, ls).tobytes()
+                == _per_lag_gradient(latent, ar, ls).tobytes())
+
+
+def test_ar_residual_empty_lag_set_is_the_latent_matrix():
+    latent = np.random.default_rng(3).random((3, 7))
+    got = ar_residual(latent, np.zeros((3, 0)), LagSet())
+    assert got.tobytes() == latent.tobytes()
+    assert not np.shares_memory(got, latent)
+
+
+def test_per_lag_kernels_give_the_same_train_and_estimate(monkeypatch):
+    import ttnmf.training as training
+    from ttnmf.estimation import estimate_od_flows
+    from ttnmf.network import compute_link_flows, generate_synthetic
+    scen = generate_synthetic(6, 4, 200, LagSet((1, 2, 24)), 0.05, seed=5)
+    x = scen.traffic.entries
+    links = compute_link_flows(scen.routing, scen.traffic).entries[:, 150:]
+    cfg = training.TrainConfig(rank=4, lag_set=LagSet((1, 2, 24)), q_max=8)
+
+    def run():
+        model, report = training.train(x[:, :150], scen.routing, cfg)
+        est = estimate_od_flows(links, model, scen.routing)
+        return ([model.spatial.tobytes(), model.latent.tobytes(),
+                 model.ar_weights.tobytes(), est.tobytes()],
+                report.objective_trace, report.penalized_trace)
+
+    new = run()
+    monkeypatch.setattr(factors, "ar_residual", _per_lag_residual)
+    monkeypatch.setattr(training, "temporal_penalty_gradient",
+                        _per_lag_gradient)
+    old = run()
+    assert new == old
 
 
 def test_temporal_graph_validation():

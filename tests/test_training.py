@@ -17,7 +17,8 @@ Covers:
   - train: monotone trace, nonneg iterates, planted fit quality, plain-NMF
     reduction, input validation, non-finite guard
   - stop rule: converged before q_max on the acceptance scenarios (with and
-    without em_mask), q_max with a tiny delta, penalized trace oracle
+    without em_mask), q_max with a tiny delta, penalized trace oracle, the
+    Gram-form trace against objective_terms of each iterate
 """
 
 import logging
@@ -26,6 +27,7 @@ import math
 import numpy as np
 import pytest
 
+import ttnmf.factors as factors
 import ttnmf.training as training
 from ttnmf.errors import ConfigError, NumericalFailure, ShapeError, UsageError
 from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
@@ -568,6 +570,32 @@ def test_train_stops_when_penalized_objective_stalls():
         objective_value(scen.traffic.entries, model, model.weights,
                         scen.routing), rel=1e-12)
     assert report.objective_trace[-1] < f[-1]
+
+
+def test_train_gram_form_trace_matches_objective_terms(monkeypatch):
+    # acceptance criterion 3's scenario: the trace takes the data fit from the
+    # latent block's Gram products, objective_terms forms X - W H
+    scen = generate_synthetic(6, 4, 300, LagSet((1, 2)), 0.05, seed=3)
+    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)))
+    iterates = []
+    outer = training._outer_iteration
+
+    def recording(*args):
+        result = outer(*args)
+        iterates.append(result[:3])
+        return result
+
+    monkeypatch.setattr(training, "_outer_iteration", recording)
+    model, report = train(scen.traffic, scen.routing, cfg)
+    assert len(iterates) == report.n_iterations >= 2
+    x = scen.traffic.entries
+    for q, (w, h, omega) in enumerate(iterates, start=1):
+        m = FactorModel.from_factors(w, h, omega, cfg.lag_set, scen.routing,
+                                     model.weights)
+        terms = factors.objective_terms(x, m, model.weights, scen.routing)
+        assert report.objective_trace[q] == pytest.approx(terms[0], rel=1e-12)
+        assert report.penalized_trace[q] == pytest.approx(sum(terms),
+                                                          rel=1e-12)
 
 
 def test_train_tiny_delta_runs_to_q_max():
