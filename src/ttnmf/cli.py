@@ -25,7 +25,7 @@ from .fileio import (ModelArchive, format_float, load_matrix_csv, load_model,
 from .metrics import cdf_points, sre, summary_stats, tre
 from .network import (RoutingMatrix, TrafficMatrix, compute_link_flows,
                       generate_synthetic, split_train_test)
-from .training import TrainConfig, train
+from .training import BLOCKS, TrainConfig, train
 
 logger = logging.getLogger(__name__)
 
@@ -272,12 +272,17 @@ def _cmd_train(args) -> int:
     with _replaced_on_success(out / "model.ttnmf") as tmp:
         save_model(tmp, ModelArchive(model, routing, provenance))
     with _text_replaced_on_success(out / "trace.csv") as fh:
-        fh.write("q,e_q,f_q,wall_ms\n")
-        for q, (e, f, ms) in enumerate(zip(report.objective_trace,
-                                           report.penalized_trace,
-                                           report.iteration_wall_ms)):
-            fh.write(f"{q},{format_float(e)},{format_float(f)},"
-                     f"{format_float(ms)}\n")
+        fh.write("q,e_q,f_q,temporal,ortho,spatial_iters,latent_iters,"
+                 "ar_iters,wall_ms\n")
+        # the seed row has no block iterations
+        iters = [(0, 0, 0), *zip(*(report.block_iteration_counts[b]
+                                   for b in BLOCKS))]
+        for q, (*terms, its, ms) in enumerate(zip(
+                report.objective_trace, report.penalized_trace,
+                report.temporal_trace, report.ortho_trace, iters,
+                report.iteration_wall_ms)):
+            fh.write(",".join([str(q), *map(format_float, terms),
+                               *map(str, its), format_float(ms)]) + "\n")
     logger.info("train: %d outer iterations (%s), final fit %.6g, "
                 "wall %.2fs", report.n_iterations, report.stop_reason,
                 report.objective_trace[-1], report.wall_time)

@@ -187,15 +187,21 @@ def build_lag_design_matrix(latent: np.ndarray, row: int, lag_set: LagSet) -> np
     k, T = latent.shape
     if not 0 <= row < k:
         raise ShapeError(f"row {row} out of range for {k} latent rows")
-    design = np.zeros((len(lag_set), T))
+    return lag_designs(latent[row:row + 1], lag_set)[0]
+
+
+def lag_designs(latent: np.ndarray, lag_set: LagSet) -> np.ndarray:
+    """build_lag_design_matrix of every latent row, stacked k x len(lag_set) x T."""
+    k, T = latent.shape
+    designs = np.zeros((k, len(lag_set), T))
     if len(lag_set) == 0:
-        return design
+        return designs
     L = lag_set.max_lag
     if L >= T:
         raise ConfigError(f"max lag {L} must be < number of timestamps {T}")
     for q, lag in enumerate(lag_set.lags):
-        design[q, L:] = latent[row, L - lag : T - lag]
-    return design
+        designs[:, q, L:] = latent[:, L - lag : T - lag]
+    return designs
 
 
 @dataclass(frozen=True)
@@ -381,10 +387,17 @@ def objective_terms(x, model: FactorModel, weights: RegularizationWeights,
     if x.shape != (model.n_flows, model.n_timestamps):
         raise ShapeError(
             f"data shape {x.shape} != ({model.n_flows}, {model.n_timestamps})")
-    resid = x - model.spatial @ model.latent
-    return (float(np.vdot(resid, resid)),
+    return (data_fit(x, model.spatial, model.latent),
             *penalty_terms(model.spatial, model.latent, model.ar_weights,
                            model.lag_set, weights, routing_arr))
+
+
+def data_fit(x, spatial, latent) -> float:
+    """||X - W H||_F^2 from one n x T array: the product W H, overwritten in
+    place by the residual."""
+    resid = spatial @ latent
+    np.subtract(x, resid, out=resid)
+    return float(np.vdot(resid, resid))
 
 
 def penalty_terms(spatial, latent, ar_weights, lag_set: LagSet,

@@ -117,11 +117,12 @@ def write_matrix_csv(path, matrix) -> None:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise ShapeError("can only write 2-D matrices")
-    # format_float's "%.17g" for every cell, one % operation per row
+    # format_float's "%.17g" for every cell, one % operation per row; only
+    # one row at a time is held as Python floats
     line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in arr.tolist():
-            fh.write(line % tuple(row))
+        for row in arr:
+            fh.write(line % tuple(row.tolist()))
 
 
 def parse_config_file(path) -> dict:

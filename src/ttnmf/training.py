@@ -12,8 +12,8 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure, ShapeError, UsageError
 from .factors import (FactorModel, LagSet, RegularizationWeights,
                       build_lag_design_matrix, build_temporal_graph,
-                      objective_terms, ortho_penalty_value, penalty_terms,
-                      routing_array, temporal_penalty_gradient)
+                      data_fit, lag_designs, ortho_penalty_value,
+                      penalty_terms, routing_array, temporal_penalty_gradient)
 # build_temporal_graph is the paper-form oracle; training never calls it, and
 # it stays importable here so that bench/tracing.py can count calls to it
 from .initialization import init_factors_svd, init_lag_weights
@@ -67,10 +67,12 @@ class TrainConfig:
 class TrainReport:
     """What happened during a train() call.
 
-    objective_trace holds the data fit and penalized_trace the penalized
+    objective_trace holds the data fit, temporal_trace and ortho_trace the
+    weighted penalty terms and penalized_trace their sum, the penalized
     objective, at the seed and after every outer iteration; the data fit is
     ||X - W H||^2 at the seed and the latent block's Gram form after that.
-    stop_reason is "converged" or "q_max".
+    block_iteration_counts holds each block's inner iterations per outer
+    iteration.  stop_reason is "converged" or "q_max".
     """
 
     objective_trace: list
@@ -79,6 +81,8 @@ class TrainReport:
     iteration_wall_ms: list = field(default_factory=list)
     penalized_trace: list = field(default_factory=list)
     stop_reason: str = "q_max"
+    temporal_trace: list = field(default_factory=list)
+    ortho_trace: list = field(default_factory=list)
 
     @property
     def n_iterations(self) -> int:
@@ -228,25 +232,29 @@ def _latent_block(x, w, omega, lag_set, weights, by_column=False,
     return grad, err, _positive(lip)
 
 
-def _ar_block(h, row, lag_set, lam):
+def _ar_error(series, design, b) -> float:
+    """One latent row's AR residual over the full length, zero-padded prefix
+    included, at the row's AR weights b."""
+    r = series - b @ design
+    return float(r @ r)
+
+
+def _ar_block(series, design, gram, gram_norm, lam):
     """(grad, err, lip) of one row of the AR weights with H fixed.
 
-    err is the row's AR residual over the full length, zero-padded prefix
-    included; lip = lambda_t ||G||_2 for the row's lag Gram matrix G.
+    series is the latent row, design its lag design matrix, gram = design
+    design^T and gram_norm = ||gram||_2; err is _ar_error and lip = lambda_t
+    ||gram||_2.
     """
-    design = build_lag_design_matrix(h, row, lag_set)
-    gram = design @ design.T
-    target = h[row] @ design.T
-    series = h[row]
+    target = series @ design.T
 
     def grad(c):
         return lam * (c @ gram - target)
 
     def err(b):
-        r = series - b @ design
-        return float(r @ r)
+        return _ar_error(series, design, b)
 
-    return grad, err, _positive(lam * _norm2(gram))
+    return grad, err, _positive(lam * gram_norm)
 
 
 def _block(block, x, model, weights, a, row=None):
@@ -257,7 +265,9 @@ def _block(block, x, model, weights, a, row=None):
         return _latent_block(x, model.spatial, model.ar_weights, model.lag_set,
                              weights)
     if block == "ar":
-        return _ar_block(model.latent, row, model.lag_set,
+        design = build_lag_design_matrix(model.latent, row, model.lag_set)
+        gram = design @ design.T
+        return _ar_block(model.latent[row], design, gram, _norm2(gram),
                          weights.lambda_temporal)
     raise UsageError(f"unknown block {block!r}")
 
@@ -290,14 +300,20 @@ def _update_latent(x, w, h, omega, lag_set, weights, q_max, delta):
 
 
 def _update_ar(h, omega, lag_set, lam, q_max, delta):
-    rows = [_nesterov_loop(omega[p], *_ar_block(h, p, lag_set, lam), q_max,
-                           rel_tol=delta) for p in range(h.shape[0])]
+    designs = lag_designs(h, lag_set)
+    grams = designs @ designs.transpose(0, 2, 1)
+    # one stacked SVD; each row's largest value is its np.linalg.norm(G, 2)
+    norms = np.linalg.svd(grams, compute_uv=False)[:, 0]
+    rows = [_nesterov_loop(omega[p], *_ar_block(h[p], designs[p], grams[p],
+                                                norms[p], lam),
+                           q_max, rel_tol=delta) for p in range(h.shape[0])]
     return (np.reshape([r for r, _ in rows], omega.shape),
             sum(n for _, n in rows))
 
 
 def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,
-                   beta_temporal: float, beta_ortho: float, routing):
+                   beta_temporal: float, beta_ortho: float, routing, *,
+                   seed_fit=None):
     """Scale the penalty weights against the data fit at the seed.
 
     lambda = beta * ||X - W0 H0||_F^2 / den.  For the orthogonality term den
@@ -305,11 +321,12 @@ def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,
     error summed over rows, the full-length residual sum_p ||h_p - w_p
     design_p||^2 with the design zero-padded before max_lag and no factor
     1/2 (not temporal_penalty_value).  A den below 1e-15 of the numerator
-    zeroes the lambda with a warning.
+    zeroes the lambda with a warning.  seed_fit, when given, is the
+    numerator ||X - W0 H0||_F^2, which the caller has already computed.
     """
     x = np.asarray(x, dtype=float)
     a = routing_array(routing)
-    num = _frob2(x - spatial0 @ latent0)
+    num = data_fit(x, spatial0, latent0) if seed_fit is None else seed_fit
 
     def ratio(beta, den, name):
         if beta == 0.0:
@@ -325,8 +342,8 @@ def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,
             logger.info("empty lag set: temporal penalty disabled")
         lam_t = 0.0
     else:
-        den_t = sum(_ar_block(latent0, p, lag_set, 0.0)[1](ar0[p])
-                    for p in range(latent0.shape[0]))
+        den_t = sum(_ar_error(latent0[p], design, ar0[p])
+                    for p, design in enumerate(lag_designs(latent0, lag_set)))
         lam_t = ratio(beta_temporal, den_t, "temporal")
     den_o = ortho_penalty_value(a @ spatial0)
     lam_o = ratio(beta_ortho, den_o, "orthogonality")
@@ -464,16 +481,21 @@ def train(traffic, routing, config: TrainConfig):
                 RegularizationWeights(), a, config, q)
     x_work = em_mask_step(x, mask, w, h) if em_active else x
     omega = init_lag_weights(h, config.lag_set)
+    # the seed's data fit, shared by the penalty scale and the trace
+    fit = data_fit(x_work, w, h)
     lam_t, lam_o = tune_penalties(x_work, w, h, omega, config.lag_set,
-                                  config.beta_temporal, config.beta_ortho, a)
+                                  config.beta_temporal, config.beta_ortho, a,
+                                  seed_fit=fit)
     weights = RegularizationWeights(lam_t, lam_o, config.beta_temporal,
                                     config.beta_ortho)
 
     def model_at(w, h, omega):
         return FactorModel.from_factors(w, h, omega, config.lag_set, a, weights)
 
-    terms = objective_terms(x_work, model_at(w, h, omega), weights, a)
-    trace, f_trace = [terms[0]], [sum(terms)]
+    model_at(w, h, omega)   # a non-finite seed raises ValidationError
+    temporal, ortho = penalty_terms(w, h, omega, config.lag_set, weights, a)
+    trace, f_trace = [fit], [fit + temporal + ortho]
+    t_trace, o_trace = [temporal], [ortho]
     wall_ms = [0.0]
     counts = {b: [] for b in BLOCKS}
     stop_reason = "q_max"
@@ -488,6 +510,8 @@ def train(traffic, routing, config: TrainConfig):
         temporal, ortho = penalty_terms(w, h, omega, config.lag_set, weights, a)
         trace.append(fit)
         f_trace.append(fit + temporal + ortho)
+        t_trace.append(temporal)
+        o_trace.append(ortho)
         wall_ms.append((time.perf_counter() - t0) * 1000.0)
         if 0.0 <= f_trace[-2] - f_trace[-1] < config.delta * f_trace[-2]:
             stop_reason = "converged"
@@ -495,4 +519,5 @@ def train(traffic, routing, config: TrainConfig):
 
     return model_at(w, h, omega), TrainReport(
         trace, counts, time.perf_counter() - t0, wall_ms,
-        penalized_trace=f_trace, stop_reason=stop_reason)
+        penalized_trace=f_trace, stop_reason=stop_reason,
+        temporal_trace=t_trace, ortho_trace=o_trace)

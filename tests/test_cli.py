@@ -72,10 +72,17 @@ def test_train_writes_model_and_trace(tmp_path):
     assert set(archive.provenance) == {"config_sha256", "traffic_sha256",
                                        "routing_sha256"}
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "q,e_q,f_q,wall_ms"
+    assert lines[0] == ("q,e_q,f_q,temporal,ortho,spatial_iters,latent_iters,"
+                        "ar_iters,wall_ms")
     assert len(lines) >= 3
-    errs = [float(line.split(",")[1]) for line in lines[1:]]
+    rows = [line.split(",") for line in lines[1:]]
+    errs = [float(row[1]) for row in rows]
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
+    for q, row in enumerate(rows):
+        e, f, temporal, ortho = map(float, row[1:5])
+        assert f == e + temporal + ortho
+        iters = [int(v) for v in row[5:8]]
+        assert iters == [0, 0, 0] if q == 0 else min(iters) >= 1
 
 
 def test_full_pipeline_round_trip(tmp_path):

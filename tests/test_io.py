@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,3 +344,19 @@ def test_write_matches_per_cell_format(tmp_path):
         expected = "".join(",".join("%.17g" % v for v in row) + "\n"
                            for row in arr)
         assert p.read_bytes() == expected.encode()
+
+
+def test_write_holds_one_row_of_python_floats(tmp_path):
+    # the geant-cli bench estimate's shape; as one list of Python floats the
+    # whole matrix took about 11 MB
+    arr = np.random.default_rng(0).random((506, 672)) * 1e6
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        write_matrix_csv(tmp_path / "a.csv", arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    np.testing.assert_array_equal(load_matrix_csv(tmp_path / "a.csv",
+                                                  "traffic"), arr)

@@ -6,7 +6,8 @@ Covers:
   - analytic gradients: stationary point, finite differences (also with
     per-row temporal weights), lambda = 0 reduction
   - step-size denominators: identity case, Hessian power-iteration oracle,
-    upper-bound property with the temporal term, degenerate guards
+    upper-bound property with the temporal term, degenerate guards; the AR
+    update's stacked bounds against per-row blocks, bit for bit
   - block errors from the Gram products against the direct residual, near
     exact fits included
   - inner loop behavior: active projection, interior quadratic convergence
@@ -15,14 +16,17 @@ Covers:
   - missing data: em_mask_step selection oracle, weighted fill on planted
     rank-1 data, degenerate rows/columns
   - train: monotone trace, nonneg iterates, planted fit quality, plain-NMF
-    reduction, input validation, non-finite guard
+    reduction, input validation, non-finite guard, the seed residual's
+    memory
   - stop rule: converged before q_max on the acceptance scenarios (with and
     without em_mask), q_max with a tiny delta, penalized trace oracle, the
-    Gram-form trace against objective_terms of each iterate
+    Gram-form trace and the penalty-term traces against objective_terms of
+    each iterate
 """
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +291,27 @@ def test_lipschitz_ar_guards():
     assert block_lipschitz("ar", None, model, weights, row=0) == 1.0
     with pytest.raises(UsageError):
         block_lipschitz("ar", None, model, weights)
+
+
+def test_update_ar_matches_per_row_blocks():
+    # the stacked Grams and their one SVD give the bounds, and so the AR
+    # weights, of per-row _block("ar") calls bit for bit
+    rng = np.random.default_rng(33)
+    weights = RegularizationWeights(lambda_temporal=2.5)
+    for lags, T in (((1, 2), 15), ((1, 3, 7), 40), ((5,), 6)):
+        latent = rng.random((4, T))
+        latent[1] = 0.0   # zero design: the free step
+        model = FactorModel.from_factors(
+            rng.random((6, 4)), latent, rng.random((4, len(lags))),
+            LagSet(lags), np.ones((2, 6)), weights)
+        omega, n = training._update_ar(model.latent, model.ar_weights,
+                                       model.lag_set, 2.5, 10, 1e-5)
+        rows = [training._nesterov_loop(
+            model.ar_weights[p],
+            *training._block("ar", None, model, weights, None, p), 10,
+            rel_tol=1e-5) for p in range(4)]
+        np.testing.assert_array_equal(omega, [r for r, _ in rows])
+        assert n == sum(m for _, m in rows)
 
 
 def test_lipschitz_ar_matches_design_gram():
@@ -585,17 +610,51 @@ def test_train_gram_form_trace_matches_objective_terms(monkeypatch):
         iterates.append(result[:3])
         return result
 
+    def seed(x, w, h, omega, *args, **kwargs):
+        iterates.append((w, h, omega))
+        return tune(x, w, h, omega, *args, **kwargs)
+
+    tune = training.tune_penalties
     monkeypatch.setattr(training, "_outer_iteration", recording)
+    monkeypatch.setattr(training, "tune_penalties", seed)
     model, report = train(scen.traffic, scen.routing, cfg)
-    assert len(iterates) == report.n_iterations >= 2
+    assert len(iterates) - 1 == report.n_iterations >= 2
+    assert (len(report.temporal_trace) == len(report.ortho_trace)
+            == len(report.objective_trace))
     x = scen.traffic.entries
-    for q, (w, h, omega) in enumerate(iterates, start=1):
+    for q, (w, h, omega) in enumerate(iterates):
         m = FactorModel.from_factors(w, h, omega, cfg.lag_set, scen.routing,
                                      model.weights)
         terms = factors.objective_terms(x, m, model.weights, scen.routing)
+        if q == 0:
+            # the seed's fit is the direct residual's, formed once
+            assert report.objective_trace[0] == terms[0]
+            assert report.penalized_trace[0] == sum(terms)
         assert report.objective_trace[q] == pytest.approx(terms[0], rel=1e-12)
         assert report.penalized_trace[q] == pytest.approx(sum(terms),
                                                           rel=1e-12)
+        assert report.temporal_trace[q] == terms[1] > 0
+        assert report.ortho_trace[q] == terms[2] > 0
+
+
+def test_train_forms_the_seed_residual_once_in_place():
+    # at this shape the n x T arrays dominate; X - W0 H0 formed as a product
+    # and a difference, once for the penalty scale and once for the trace,
+    # peaked at twice the size of X
+    rng = np.random.default_rng(31)
+    n, T = 200, 2000
+    x = rng.random((n, 2)) @ rng.random((2, T))
+    traffic = TrafficMatrix(x)
+    routing = (rng.random((20, n)) < 0.3).astype(float)
+    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]), q_max=2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        train(traffic, routing, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes
 
 
 def test_train_tiny_delta_runs_to_q_max():
