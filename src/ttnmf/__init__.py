@@ -5,8 +5,7 @@ from .errors import (ConfigError, NumericalFailure, ParseError, ShapeError,
 from .estimation import (EstimatorConfig, estimate_latent, estimate_od_flow,
                          estimate_od_flows, refine_em)
 from .factors import (FactorModel, LagSet, RegularizationWeights,
-                      TemporalGraph, build_lag_design_matrix,
-                      build_temporal_graph, objective_value,
+                      TemporalGraph, build_temporal_graph, objective_value,
                       ortho_penalty_value, temporal_penalty_value)
 from .fileio import (ModelArchive, load_matrix_csv, load_model,
                      parse_config_file, save_model, write_matrix_csv)
@@ -27,8 +26,8 @@ __all__ = [
     "EstimatorConfig", "estimate_latent", "estimate_od_flow",
     "estimate_od_flows", "refine_em",
     "FactorModel", "LagSet", "RegularizationWeights", "TemporalGraph",
-    "build_lag_design_matrix", "build_temporal_graph", "objective_value",
-    "ortho_penalty_value", "temporal_penalty_value",
+    "build_temporal_graph", "objective_value", "ortho_penalty_value",
+    "temporal_penalty_value",
     "ModelArchive", "load_matrix_csv", "load_model", "parse_config_file",
     "save_model", "write_matrix_csv",
     "init_factors_svd", "init_lag_weights",

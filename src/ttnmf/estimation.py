@@ -29,8 +29,9 @@ class EstimatorConfig:
     delta_em: float = 1e-9
 
     def __post_init__(self):
-        if self.r_max_em < 0 or self.delta_em <= 0:
-            raise ConfigError("need r_max_em >= 0 and delta_em > 0")
+        if self.r_max_em < 0 or not 0.0 < self.delta_em < np.inf:
+            raise ConfigError(
+                "need r_max_em >= 0 and a finite delta_em > 0")
 
 
 def estimate_latent(link_flows, model: FactorModel) -> np.ndarray:

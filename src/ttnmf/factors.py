@@ -175,23 +175,13 @@ def build_temporal_graph(ar_row, lag_set: LagSet, n_timestamps: int) -> Temporal
     return TemporalGraph(T, bands, diagonal, laplacian)
 
 
-def build_lag_design_matrix(latent: np.ndarray, row: int, lag_set: LagSet) -> np.ndarray:
-    """Lagged copies of one latent row, zero outside the residual window.
-
-    Returns a len(lag_set) x T matrix whose q-th row holds latent[row, t - lag_q]
-    for t >= max_lag and 0 before that.
-    """
-    latent = np.asarray(latent, dtype=float)
-    if latent.ndim != 2:
-        raise ShapeError("latent must be 2-D")
-    k, T = latent.shape
-    if not 0 <= row < k:
-        raise ShapeError(f"row {row} out of range for {k} latent rows")
-    return lag_designs(latent[row:row + 1], lag_set)[0]
-
-
 def lag_designs(latent: np.ndarray, lag_set: LagSet) -> np.ndarray:
-    """build_lag_design_matrix of every latent row, stacked k x len(lag_set) x T."""
+    """Lagged copies of every latent row, zero outside the residual window.
+
+    Returns the k x len(lag_set) x T array whose entry (p, q, t) holds
+    latent[p, t - lag_q] for t >= max_lag and 0 before that: row p's lag
+    design, whose Gram and correlation with h_p the AR block uses.
+    """
     k, T = latent.shape
     designs = np.zeros((k, len(lag_set), T))
     if len(lag_set) == 0:

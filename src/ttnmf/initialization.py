@@ -7,7 +7,7 @@ import logging
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .factors import LagSet, build_lag_design_matrix
+from .factors import LagSet, lag_designs
 
 logger = logging.getLogger(__name__)
 
@@ -97,7 +97,7 @@ def init_lag_weights(latent, lag_set: LagSet) -> np.ndarray:
         raise ConfigError(
             f"max lag {lag_set.max_lag} must be < number of timestamps {T}")
     for p in range(k):
-        design = build_lag_design_matrix(latent, p, lag_set)
+        design = lag_designs(latent[p:p + 1], lag_set)[0]
         if not design.any():
             continue
         weights[p] = np.maximum(latent[p] @ np.linalg.pinv(design, rcond=1e-12),

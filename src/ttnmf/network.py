@@ -222,8 +222,9 @@ def generate_synthetic(n_routers: int, planted_rank: int, n_timestamps: int,
         raise ConfigError(
             f"need more than max_lag={planted_lags.max_lag} timestamps, "
             f"got {n_timestamps}")
-    if noise_level < 0:
-        raise ConfigError(f"noise level must be >= 0, got {noise_level}")
+    if not 0.0 <= noise_level < np.inf:
+        raise ConfigError(
+            f"noise level must be finite and >= 0, got {noise_level}")
     rng = np.random.default_rng(seed)
 
     edges = _random_connected_graph(n_routers, rng)

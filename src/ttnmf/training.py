@@ -11,9 +11,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure, ShapeError, UsageError
 from .factors import (FactorModel, LagSet, RegularizationWeights,
-                      build_lag_design_matrix, build_temporal_graph,
-                      data_fit, lag_designs, ortho_penalty_value,
-                      penalty_terms, routing_array, temporal_penalty_gradient)
+                      build_temporal_graph, data_fit, lag_designs,
+                      ortho_penalty_value, penalty_terms, routing_array,
+                      temporal_penalty_gradient)
 # build_temporal_graph is the paper-form oracle; training never calls it, and
 # it stays importable here so that bench/tracing.py can count calls to it
 from .initialization import init_factors_svd, init_lag_weights
@@ -52,8 +52,8 @@ class TrainConfig:
         if self.q_max < 1 or self.q_block_max < 1:
             raise ConfigError("iteration limits must be >= 1")
         for name in ("delta", "delta_spatial", "delta_latent", "delta_ar"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
         if self.missing_mode not in ("none", "weighted_fill", "em_mask"):
             raise ConfigError(f"unknown missing_mode {self.missing_mode!r}")
 
@@ -72,7 +72,9 @@ class TrainReport:
     objective, at the seed and after every outer iteration; the data fit is
     ||X - W H||^2 at the seed and the latent block's Gram form after that.
     block_iteration_counts holds each block's inner iterations per outer
-    iteration.  stop_reason is "converged" or "q_max".
+    iteration; for the AR block these are passes of its one loop over all
+    latent rows, the most that any row took.  stop_reason is "converged" or
+    "q_max".
     """
 
     objective_trace: list
@@ -95,8 +97,6 @@ def _frob2(a) -> float:
 
 def _norm2(a) -> float:
     """Spectral norm of a small dense matrix."""
-    if a.size == 0:
-        return 0.0
     return float(np.linalg.norm(a, 2))
 
 
@@ -155,9 +155,10 @@ def _nesterov_loop(b0, grad, err, lip, q_max, rel_tol=None, noise=0.0):
     return b_best, n
 
 
-def _positive(lip: float) -> float:
-    """A step-size denominator, 1.0 where the curvature vanishes."""
-    return lip if lip > 0 else 1.0
+def _positive(lip):
+    """Step-size denominators, 1.0 where the curvature vanishes
+    (elementwise)."""
+    return np.where(lip > 0, lip, 1.0)
 
 
 def _spatial_block(x, h, weights, a):
@@ -232,59 +233,58 @@ def _latent_block(x, w, omega, lag_set, weights, by_column=False,
     return grad, err, _positive(lip)
 
 
-def _ar_error(series, design, b) -> float:
-    """One latent row's AR residual over the full length, zero-padded prefix
-    included, at the row's AR weights b."""
-    r = series - b @ design
-    return float(r @ r)
+def _ar_block(h, lag_set, lam):
+    """(grad, err, lip) of the AR weights with H fixed, on Omega^T.
 
-
-def _ar_block(series, design, gram, gram_norm, lam):
-    """(grad, err, lip) of one row of the AR weights with H fixed.
-
-    series is the latent row, design its lag design matrix, gram = design
-    design^T and gram_norm = ||gram||_2; err is _ar_error and lip = lambda_t
-    ||gram||_2.
+    The block separates over latent rows: column p of the len(lag_set) x k
+    iterate holds row p's weights w_p, and err and lip hold one value per
+    row, so _nesterov_loop gives each row its own step, momentum, restarts
+    and stop.  With D_p row p's lag design (lag_designs), G_p = D_p D_p^T and
+    t_p = D_p h_p^T, column p of the gradient is lambda_t (G_p w_p - t_p),
+    lip is lambda_t ||G_p||_2 and err is the full-length AR residual
+    ||h_p - w_p D_p||^2, zero-padded prefix included, from the Grams:
+    ||h_p||^2 + <w_p, G_p w_p - 2 t_p>, clamped at 0 like the other blocks'.
+    Only G and t outlive the call, not the k x len(lag_set) x T designs.
     """
-    target = series @ design.T
+    designs = lag_designs(h, lag_set)
+    grams = designs @ designs.transpose(0, 2, 1)
+    targets = (designs @ h[:, :, None])[:, :, 0].T
+    hh = np.einsum("pt,pt->p", h, h)
+    # one stacked SVD; each row's largest value is its ||G_p||_2, and 0 for
+    # an empty lag set
+    norms = np.linalg.svd(grams, compute_uv=False).max(axis=1, initial=0.0)
 
     def grad(c):
-        return lam * (c @ gram - target)
+        return lam * (np.einsum("pij,jp->ip", grams, c) - targets)
 
     def err(b):
-        return _ar_error(series, design, b)
+        q = np.einsum("pij,jp->ip", grams, b) - 2.0 * targets
+        return np.maximum(hh + np.einsum("ip,ip->p", b, q), 0.0)
 
-    return grad, err, _positive(lam * gram_norm)
+    return grad, err, _positive(lam * norms)
 
 
-def _block(block, x, model, weights, a, row=None):
-    """(grad, err, lip) of one block, the other blocks held at `model`."""
+def _block(block, x, model, weights, a):
+    """(grad, err, lip) of one block, the other blocks held at `model`; the
+    AR block acts on model.ar_weights.T."""
     if block == "spatial":
         return _spatial_block(x, model.latent, weights, a)
     if block == "latent":
         return _latent_block(x, model.spatial, model.ar_weights, model.lag_set,
                              weights)
     if block == "ar":
-        design = build_lag_design_matrix(model.latent, row, model.lag_set)
-        gram = design @ design.T
-        return _ar_block(model.latent[row], design, gram, _norm2(gram),
-                         weights.lambda_temporal)
+        return _ar_block(model.latent, model.lag_set, weights.lambda_temporal)
     raise UsageError(f"unknown block {block!r}")
 
 
 def block_gradient(block: str, x, model: FactorModel,
                    weights: RegularizationWeights, routing) -> np.ndarray:
     """Analytic gradient of the full objective with respect to one block."""
-    x = np.asarray(x, dtype=float)
-    a = routing_array(routing)
+    grad = _block(block, np.asarray(x, dtype=float), model, weights,
+                  routing_array(routing))[0]
     if block == "ar":
-        grad = np.zeros_like(model.ar_weights)
-        for p in range(model.rank):
-            grad[p] = _block(block, x, model, weights, a, row=p)[0](
-                model.ar_weights[p])
-        return grad
-    current = model.spatial if block == "spatial" else model.latent
-    return _block(block, x, model, weights, a)[0](current)
+        return grad(model.ar_weights.T).T
+    return grad(model.spatial if block == "spatial" else model.latent)
 
 
 def _update_spatial(x, w, h, weights, a, q_max, delta):
@@ -300,15 +300,10 @@ def _update_latent(x, w, h, omega, lag_set, weights, q_max, delta):
 
 
 def _update_ar(h, omega, lag_set, lam, q_max, delta):
-    designs = lag_designs(h, lag_set)
-    grams = designs @ designs.transpose(0, 2, 1)
-    # one stacked SVD; each row's largest value is its np.linalg.norm(G, 2)
-    norms = np.linalg.svd(grams, compute_uv=False)[:, 0]
-    rows = [_nesterov_loop(omega[p], *_ar_block(h[p], designs[p], grams[p],
-                                                norms[p], lam),
-                           q_max, rel_tol=delta) for p in range(h.shape[0])]
-    return (np.reshape([r for r, _ in rows], omega.shape),
-            sum(n for _, n in rows))
+    """(Omega, passes of the one AR loop over all latent rows)."""
+    omega_t, n = _nesterov_loop(omega.T, *_ar_block(h, lag_set, lam), q_max,
+                                rel_tol=delta)
+    return np.ascontiguousarray(omega_t.T), n
 
 
 def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,
@@ -318,11 +313,12 @@ def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,
 
     lambda = beta * ||X - W0 H0||_F^2 / den.  For the orthogonality term den
     is ortho_penalty_value(A W0); for the temporal term it is the AR block's
-    error summed over rows, the full-length residual sum_p ||h_p - w_p
-    design_p||^2 with the design zero-padded before max_lag and no factor
-    1/2 (not temporal_penalty_value).  A den below 1e-15 of the numerator
-    zeroes the lambda with a warning.  seed_fit, when given, is the
-    numerator ||X - W0 H0||_F^2, which the caller has already computed.
+    err summed over rows, the Gram form of the full-length residual
+    sum_p ||h_p - w_p design_p||^2 with the design zero-padded before
+    max_lag and no factor 1/2 (not temporal_penalty_value).  A den below
+    1e-15 of the numerator zeroes the lambda with a warning.  seed_fit, when
+    given, is the numerator ||X - W0 H0||_F^2, which the caller has already
+    computed.
     """
     x = np.asarray(x, dtype=float)
     a = routing_array(routing)
@@ -342,8 +338,7 @@ def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,
             logger.info("empty lag set: temporal penalty disabled")
         lam_t = 0.0
     else:
-        den_t = sum(_ar_error(latent0[p], design, ar0[p])
-                    for p, design in enumerate(lag_designs(latent0, lag_set)))
+        den_t = float(np.sum(_ar_block(latent0, lag_set, 1.0)[1](ar0.T)))
         lam_t = ratio(beta_temporal, den_t, "temporal")
     den_o = ortho_penalty_value(a @ spatial0)
     lam_o = ratio(beta_ortho, den_o, "orthogonality")

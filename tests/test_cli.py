@@ -1,11 +1,16 @@
 """Command-line workflow: synth, train, estimate, evaluate."""
 
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttnmf
 from ttnmf import load_matrix_csv, load_model
 from ttnmf.cli import main
 
@@ -52,6 +57,15 @@ def test_synth_is_deterministic(tmp_path):
 def test_synth_bad_mask_fraction(tmp_path, capsys):
     assert _synth(tmp_path / "d", "--mask-fraction", "1.5") == 1
     assert "mask fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_nonfinite_noise_exits_1(tmp_path, capsys, value):
+    # nan would write noiseless data and inf a non-finite traffic.csv
+    assert _synth(tmp_path / "d", "--noise", value) == 1
+    err = capsys.readouterr().err
+    assert "noise level" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "d" / "traffic.csv").exists()
 
 
 def _train(data, out, *extra):
@@ -106,6 +120,55 @@ def test_full_pipeline_round_trip(tmp_path):
     for name in ("sre.csv", "tre.csv", "stats.csv", "cdf_sre.csv",
                  "cdf_tre.csv"):
         assert (run / name).exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_delta_em_exits_1(tmp_path, capsys, value):
+    # a non-finite EM tolerance would stop EM after its first step
+    data, run = tmp_path / "data", tmp_path / "run"
+    _synth(data, "--split", "40")
+    assert _train(data, run) == 0
+    cfg = tmp_path / "em.cfg"
+    cfg.write_text(f"delta_em={value}\n")
+    estimate = ["estimate", "--out", str(run),
+                "--model", str(run / "model.ttnmf"),
+                "--linkflows", str(data / "linkflows_test.csv")]
+    capsys.readouterr()
+    for extra in (["--delta-em", value], ["--config", str(cfg)]):
+        assert main(estimate + extra) == 1
+        err = capsys.readouterr().err
+        assert "delta_em" in err and len(err.splitlines()) == 1
+    assert not (run / "estimated.csv").exists()
+
+
+_PIPELINE = """
+import sys
+from ttnmf.cli import main
+data, run = sys.argv[1] + "/data", sys.argv[1] + "/run"
+for argv in (
+        ["synth", "--out", data, "--routers", "4", "--rank", "2", "--T", "60",
+         "--lags", "1,2", "--split", "40", "--seed", "7"],
+        ["train", "--out", run, "--routing", data + "/routing.csv",
+         "--traffic", data + "/traffic.csv", "--split", "40", "--rank", "2",
+         "--lags", "1,2", "--q-max", "5"],
+        ["estimate", "--out", run, "--model", run + "/model.ttnmf",
+         "--linkflows", data + "/linkflows_test.csv"],
+        ["evaluate", "--out", run, "--true", data + "/traffic_test.csv",
+         "--est", run + "/estimated.csv"]):
+    assert main(argv) == 0, argv
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_cli_pipeline_never_imports_scipy(tmp_path):
+    # only the Laplacian-form oracle (TemporalGraph) needs scipy
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ttnmf.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _PIPELINE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+    assert (tmp_path / "run" / "stats.csv").exists()
 
 
 def test_estimate_link_count_mismatch_exits_2(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 Covers:
   - LagSet validation and ordering
-  - lag design matrix against hand-worked values
+  - stacked lag designs against hand-worked values
   - temporal graph vs. the direct AR-residual sum (cross-form oracle)
   - vectorised temporal gradient vs. the per-row graph gradient
   - lag-window kernel byte-equal to per-lag loops (edge shapes, row blocks),
@@ -19,8 +19,8 @@ import pytest
 import ttnmf.factors as factors
 from ttnmf.errors import ConfigError, ShapeError, UsageError
 from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
-                           ar_residual, build_lag_design_matrix,
-                           build_temporal_graph, objective_value,
+                           ar_residual, build_temporal_graph, lag_designs,
+                           objective_value,
                            ortho_penalty_value, temporal_penalty_gradient,
                            temporal_penalty_value)
 
@@ -66,34 +66,35 @@ def test_lag_set_rejects_bad_lags():
 
 def test_lag_design_unit_shift():
     latent = np.array([[1.0, 2.0, 3.0, 4.0]])
-    design = build_lag_design_matrix(latent, 0, LagSet([1]))
-    np.testing.assert_array_equal(design, [[0.0, 1.0, 2.0, 3.0]])
+    designs = lag_designs(latent, LagSet([1]))
+    np.testing.assert_array_equal(designs, [[[0.0, 1.0, 2.0, 3.0]]])
 
 
 def test_lag_design_two_lags_hand_values():
-    latent = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
-    design = build_lag_design_matrix(latent, 0, LagSet([1, 3]))
+    latent = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [5.0, 4.0, 3.0, 2.0, 1.0]])
+    designs = lag_designs(latent, LagSet([1, 3]))
     np.testing.assert_array_equal(
-        design, [[0.0, 0.0, 0.0, 3.0, 4.0], [0.0, 0.0, 0.0, 1.0, 2.0]])
+        designs, [[[0.0, 0.0, 0.0, 3.0, 4.0], [0.0, 0.0, 0.0, 1.0, 2.0]],
+                  [[0.0, 0.0, 0.0, 3.0, 2.0], [0.0, 0.0, 0.0, 5.0, 4.0]]])
 
 
 def test_lag_design_zero_row():
-    latent = np.zeros((2, 6))
-    design = build_lag_design_matrix(latent, 1, LagSet([1, 2]))
-    assert not design.any()
-    assert design.shape == (2, 6)
+    latent = np.ones((2, 6))
+    latent[1] = 0.0
+    designs = lag_designs(latent, LagSet([1, 2]))
+    assert designs.shape == (2, 2, 6)
+    assert not designs[1].any()
+    np.testing.assert_array_equal(designs[0, :, 2:], 1.0)
 
 
 def test_lag_design_empty_lag_set():
-    design = build_lag_design_matrix(np.ones((1, 4)), 0, LagSet())
-    assert design.shape == (0, 4)
+    designs = lag_designs(np.ones((3, 4)), LagSet())
+    assert designs.shape == (3, 0, 4)
 
 
 def test_lag_design_rejects_long_lag():
     with pytest.raises(ConfigError):
-        build_lag_design_matrix(np.ones((1, 3)), 0, LagSet([3]))
-    with pytest.raises(ShapeError):
-        build_lag_design_matrix(np.ones((1, 5)), 2, LagSet([1]))
+        lag_designs(np.ones((1, 3)), LagSet([3]))
 
 
 # ------------------------------------------------------- temporal graph

@@ -16,7 +16,7 @@ import pytest
 
 import ttnmf.initialization as init
 from ttnmf.errors import ConfigError
-from ttnmf.factors import LagSet, build_lag_design_matrix
+from ttnmf.factors import LagSet, lag_designs
 from ttnmf.initialization import init_factors_svd, init_lag_weights
 
 
@@ -144,7 +144,7 @@ def test_lag_weights_recover_exact_ar():
 def test_lag_weights_match_normal_equation_oracle():
     latent = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
     ls = LagSet([1])
-    design = build_lag_design_matrix(latent, 0, ls)
+    design = lag_designs(latent, ls)[0]
     # one regressor: omega = <h, d> / <d, d>, then clipped at 0
     oracle = max(float(latent[0] @ design[0]) / float(design[0] @ design[0]), 0.0)
     got = init_lag_weights(latent, ls)

@@ -6,10 +6,12 @@ Covers:
   - analytic gradients: stationary point, finite differences (also with
     per-row temporal weights), lambda = 0 reduction
   - step-size denominators: identity case, Hessian power-iteration oracle,
-    upper-bound property with the temporal term, degenerate guards; the AR
-    update's stacked bounds against per-row blocks, bit for bit
-  - block errors from the Gram products against the direct residual, near
-    exact fits included
+    upper-bound property with the temporal term, degenerate guards
+  - the one AR loop over all latent rows against a per-row loop on the
+    direct residual, to a stated tolerance; the AR gradient on an empty lag
+    set
+  - block errors from the Gram products against the direct residual (per
+    latent row for the AR block), near exact fits included
   - inner loop behavior: active projection, interior quadratic convergence
   - penalty tuning: in-test ratio oracle, ratio = 1 construction, vanishing
     denominators, empty lag set, beta = 0
@@ -35,7 +37,7 @@ import ttnmf.factors as factors
 import ttnmf.training as training
 from ttnmf.errors import ConfigError, NumericalFailure, ShapeError, UsageError
 from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
-                           build_lag_design_matrix, build_temporal_graph,
+                           build_temporal_graph, lag_designs,
                            objective_value, ortho_penalty_value,
                            temporal_penalty_value)
 from ttnmf.network import TrafficMatrix, generate_synthetic
@@ -44,15 +46,14 @@ from ttnmf.training import (TrainConfig, block_gradient, em_mask_step,
                             tune_penalties)
 
 
-def block_lipschitz(block, x, model, weights, row=None):
+def block_lipschitz(block, x, model, weights):
     """The step-size denominator training uses for one block (1.0 where the
-    curvature vanishes).  No step depends on the data, so x may be None."""
-    if block == "ar" and row is None:
-        raise UsageError("the ar block needs a row index")
+    curvature vanishes), one per latent row for the AR block.  No step
+    depends on the data, so x may be None."""
     x = (np.zeros((model.n_flows, model.n_timestamps)) if x is None
          else np.asarray(x, dtype=float))
     # the routing enters only the spatial gradient, which is not evaluated
-    return training._block(block, x, model, weights, None, row)[2]
+    return training._block(block, x, model, weights, None)[2]
 
 
 def fast_gradient_update(block, x, model, weights, routing, q_block_max=10,
@@ -88,6 +89,10 @@ def test_config_validation():
         TrainConfig(rank=2, q_max=0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(rank=2, delta=0.0).validate()
+    for bad in (math.nan, math.inf):
+        for name in ("delta", "delta_spatial", "delta_latent", "delta_ar"):
+            with pytest.raises(ConfigError):
+                TrainConfig(rank=2, **{name: bad}).validate()
     with pytest.raises(ConfigError):
         TrainConfig(rank=2, missing_mode="drop").validate()
 
@@ -284,45 +289,75 @@ def test_lipschitz_latent_upper_bounds_temporal_hessian():
 
 
 def test_lipschitz_ar_guards():
-    model = FactorModel.from_factors(np.ones((3, 2)), np.zeros((2, 9)),
+    latent = np.zeros((2, 9))
+    latent[1] = np.arange(9.0)
+    model = FactorModel.from_factors(np.ones((3, 2)), latent,
                                      np.zeros((2, 2)), LagSet([1, 2]), np.eye(3))
     weights = RegularizationWeights(lambda_temporal=1.0)
-    # zero latent row: zero design, free step
-    assert block_lipschitz("ar", None, model, weights, row=0) == 1.0
-    with pytest.raises(UsageError):
-        block_lipschitz("ar", None, model, weights)
+    lip = block_lipschitz("ar", None, model, weights)
+    # zero latent row: zero design, free step; the other row keeps its bound
+    assert lip.shape == (2,)
+    assert lip[0] == 1.0 and lip[1] > 1.0
+
+
+def _ar_reference(h, omega, lag_set, lam, q_max, delta):
+    """The AR update one latent row at a time, on the direct residual: each
+    row's own _nesterov_loop with err ||h_p - w D_p||^2 formed from the
+    design, and step lam ||D_p D_p^T||_2 (1 for a zero design)."""
+    rows, iters = [], []
+    for p, design in enumerate(lag_designs(h, lag_set)):
+        gram, target = design @ design.T, design @ h[p]
+        lip = lam * np.linalg.norm(gram, 2)
+        row, n = training._nesterov_loop(
+            omega[p], lambda c: lam * (c @ gram - target),
+            lambda b: float(np.sum((h[p] - b @ design) ** 2)),
+            lip if lip > 0 else 1.0, q_max, rel_tol=delta)
+        rows.append(row)
+        iters.append(n)
+    return np.array(rows), iters
 
 
 def test_update_ar_matches_per_row_blocks():
-    # the stacked Grams and their one SVD give the bounds, and so the AR
-    # weights, of per-row _block("ar") calls bit for bit
+    # one loop over all rows gives each row its own step, momentum, restarts
+    # and stop, so it takes the steps of the per-row reference; its err comes
+    # from the Grams, not the direct residual, so the two agree to rounding,
+    # not bit for bit, and the loop's passes are the most any row took
     rng = np.random.default_rng(33)
-    weights = RegularizationWeights(lambda_temporal=2.5)
     for lags, T in (((1, 2), 15), ((1, 3, 7), 40), ((5,), 6)):
         latent = rng.random((4, T))
         latent[1] = 0.0   # zero design: the free step
-        model = FactorModel.from_factors(
-            rng.random((6, 4)), latent, rng.random((4, len(lags))),
-            LagSet(lags), np.ones((2, 6)), weights)
-        omega, n = training._update_ar(model.latent, model.ar_weights,
-                                       model.lag_set, 2.5, 10, 1e-5)
-        rows = [training._nesterov_loop(
-            model.ar_weights[p],
-            *training._block("ar", None, model, weights, None, p), 10,
-            rel_tol=1e-5) for p in range(4)]
-        np.testing.assert_array_equal(omega, [r for r, _ in rows])
-        assert n == sum(m for _, m in rows)
+        omega0 = rng.random((4, len(lags)))
+        omega, n = training._update_ar(latent, omega0, LagSet(lags), 2.5, 50,
+                                       1e-5)
+        ref, iters = _ar_reference(latent, omega0, LagSet(lags), 2.5, 50, 1e-5)
+        assert omega.shape == omega0.shape
+        np.testing.assert_allclose(omega, ref, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(omega[1], omega0[1])
+        assert iters[1] == 0
+        assert max(iters) <= n <= 50
+        # with one lag of 5 in 6 slots each row reaches its minimum in one
+        # step; rounding-level rises of the Gram-form err there count as
+        # restarts, which keep the loop running to q_max at the same result
+        if len(lags) > 1:
+            assert n == max(iters)
 
 
 def test_lipschitz_ar_matches_design_gram():
     rng = np.random.default_rng(5)
     model, _ = _model(rng)
     weights = RegularizationWeights(lambda_temporal=1.0)
-    for p in range(model.rank):
-        design = build_lag_design_matrix(model.latent, p, model.lag_set)
-        expected = np.linalg.norm(design @ design.T, 2)
-        assert block_lipschitz("ar", None, model, weights, row=p) \
-            == pytest.approx(expected, rel=1e-12)
+    expected = [np.linalg.norm(d @ d.T, 2)
+                for d in lag_designs(model.latent, model.lag_set)]
+    np.testing.assert_allclose(block_lipschitz("ar", None, model, weights),
+                               expected, rtol=1e-12)
+
+
+def test_ar_gradient_on_empty_lag_set():
+    rng = np.random.default_rng(9)
+    model, routing = _model(rng, lags=())
+    weights = RegularizationWeights(lambda_temporal=0.5)
+    g = block_gradient("ar", np.ones((6, 15)), model, weights, routing)
+    assert g.shape == (3, 0)
 
 
 # ------------------------------------------------------------ block errors
@@ -331,17 +366,31 @@ def test_lipschitz_ar_matches_design_gram():
 def test_block_errors_from_gram_products_match_direct_residual(noise):
     # each block's err comes from its Gram products, so it equals the direct
     # ||X - W H||^2 only up to rounding of order eps ||X||^2; the bound is
-    # relative to ||X||^2 (||x_j||^2 per column), because one relative to the
-    # fit cannot hold for the near-exact fits (noise 1e-5 and 0)
+    # relative to ||X||^2 (||x_j||^2 per column, ||h_p||^2 per latent row
+    # for the AR block), because one relative to the fit cannot hold for the
+    # near-exact fits (noise 1e-5 and 0)
     rng = np.random.default_rng(8)
     w, h = rng.random((12, 3)), rng.random((3, 30))
     x = w @ h + noise * rng.random((12, 30))
     xx, xx_cols = np.sum(x * x), np.sum(x * x, axis=0)
+    ls = LagSet([1, 2])
+    # rows r^t follow h(t) = h(t-1) + r (r-1) h(t-2), up to the noise; the
+    # zero-padded prefix of r = 1.6 is about 3e-12 of its ||h_p||^2
+    r = np.array([2.0, 1.8, 1.6])
+    omega_ar = np.stack([np.ones(3), r * (r - 1.0)], axis=1)
+    h_ar = r[:, None] ** np.arange(30) * (1.0 + noise * rng.random((3, 30)))
+    hh_ar = np.sum(h_ar * h_ar, axis=1)
+
+    def ar_direct(b_o):
+        fit = np.einsum("pl,plt->pt", b_o, lag_designs(h_ar, ls))
+        return np.sum((h_ar - fit) ** 2, axis=1)
+
     if noise < 1.0:
         assert np.sum((x - w @ h) ** 2) <= 1e-8 * xx
-    ls = LagSet([1, 2])
+        assert (ar_direct(omega_ar) <= 1e-8 * hh_ar).all()
     omega = rng.random((3, 2))
-    for b_w, b_h in ((w, h), (w + 0.1, h * 0.9)):
+    for b_w, b_h, b_o in ((w, h, omega_ar),
+                          (w + 0.1, h * 0.9, omega_ar * 0.9)):
         spatial = training._spatial_block(x, b_h, RegularizationWeights(),
                                           None)[1](b_w)
         latent = training._latent_block(
@@ -357,6 +406,10 @@ def test_block_errors_from_gram_products_match_direct_residual(noise):
         assert np.isfinite(columns).all() and (columns >= 0.0).all()
         assert (np.abs(columns - np.sum(direct ** 2, axis=0))
                 <= 1e-10 * xx_cols).all()
+        ar = training._ar_block(h_ar, ls, 1.0)[1](b_o.T)
+        assert ar.shape == (3,)
+        assert np.isfinite(ar).all() and (ar >= 0.0).all()
+        assert (np.abs(ar - ar_direct(b_o)) <= 1e-10 * hh_ar).all()
 
 
 # ------------------------------------------------------------- inner loop
@@ -410,8 +463,7 @@ def test_tune_penalties_matches_ratio_oracle():
     x = rng.random((n, T))
     num = float(np.sum((x - w0 @ h0) ** 2))
     den_t = 0.0
-    for p in range(k):
-        d = build_lag_design_matrix(h0, p, ls)
+    for p, d in enumerate(lag_designs(h0, ls)):
         den_t += float(np.sum((h0[p] - o0[p] @ d) ** 2))
     den_o = ortho_penalty_value(routing @ w0)
     lam_t, lam_o = tune_penalties(x, w0, h0, o0, ls, 0.2, 0.3, routing)
