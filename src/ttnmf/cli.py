@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import functools
 import logging
 import os
 import sys
@@ -37,6 +39,12 @@ PROFILES = {
               "beta_h": 0.1, "beta_a": 0.1, "rank": 20},
     "none": {},
 }
+
+# thread-count setters of OpenBLAS builds: numpy's wheels carry the
+# scipy_openblas symbols, with the 64_ suffix for 64-bit integers
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
@@ -193,29 +201,33 @@ def _cmd_synth(args) -> int:
     cfg = _load_config(args)
     get = lambda key: _setting(args, cfg, {}, key)
     lag_set = LagSet.from_text(get("lags"))
+    frac = get("mask_fraction")
+    if not 0 <= frac < 1:
+        raise ConfigError(f"mask fraction must lie in [0, 1), got {frac}")
     scenario = generate_synthetic(
         n_routers=get("routers"), planted_rank=get("rank"),
         n_timestamps=get("n_timestamps"), planted_lags=lag_set,
         noise_level=get("noise"), seed=get("seed"))
-    out = _outdir(args)
-    write_matrix_csv(out / "routing.csv", scenario.routing.entries)
-    write_matrix_csv(out / "traffic.csv", scenario.traffic.entries)
     links = compute_link_flows(scenario.routing, scenario.traffic)
-    write_matrix_csv(out / "linkflows.csv", links.entries)
-    frac = get("mask_fraction")
+    outputs = {"routing.csv": scenario.routing.entries,
+               "traffic.csv": scenario.traffic.entries,
+               "linkflows.csv": links.entries}
     if frac:
-        if not 0 <= frac < 1:
-            raise ConfigError(f"mask fraction must lie in [0, 1), got {frac}")
         rng = np.random.default_rng([get("seed"), 1])
-        mask = (rng.random(scenario.traffic.entries.shape) >= frac) * 1.0
-        write_matrix_csv(out / "mask.csv", mask)
+        outputs["mask.csv"] = (
+            rng.random(scenario.traffic.entries.shape) >= frac) * 1.0
     split = get("split")
     if split is not None:
         train_part, test_part = split_train_test(scenario.traffic, split)
-        write_matrix_csv(out / "traffic_train.csv", train_part.entries)
-        write_matrix_csv(out / "traffic_test.csv", test_part.entries)
-        test_links = compute_link_flows(scenario.routing, test_part)
-        write_matrix_csv(out / "linkflows_test.csv", test_links.entries)
+        outputs["traffic_train.csv"] = train_part.entries
+        outputs["traffic_test.csv"] = test_part.entries
+        outputs["linkflows_test.csv"] = compute_link_flows(
+            scenario.routing, test_part).entries
+    # every setting is checked before the first file is written
+    out = _outdir(args)
+    for name, matrix in outputs.items():
+        with _replaced_on_success(out / name) as tmp:
+            write_matrix_csv(tmp, matrix)
     logger.info("synth: wrote scenario with %d links, %d OD pairs, %d slots",
                 scenario.routing.n_links, scenario.routing.n_pairs,
                 scenario.traffic.n_timestamps)
@@ -347,6 +359,45 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+@functools.cache
+def _loaded_openblas():
+    """(library, thread-count setter) of the OpenBLAS this process has
+    loaded, or None: no /proc/self/maps, another BLAS, or no known setter."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    paths = [f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]]
+    for path in dict.fromkeys(paths):
+        try:
+            # RTLD_NOLOAD: a handle to the copy already mapped, never a new one
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return lib, setter
+    return None
+
+
+def _pin_blas_threads():
+    """Run the loaded OpenBLAS on one thread, for the rest of the process.
+
+    On the CLI's matrix sizes a second thread adds CPU time, not speed, and
+    the thread count changes the order of sums in the products, so one
+    thread also makes the outputs independent of OPENBLAS_NUM_THREADS, which
+    OpenBLAS reads only when numpy loads it.
+    """
+    found = _loaded_openblas()
+    if found is None:
+        logger.debug("no OpenBLAS thread setter found; BLAS threads unchanged")
+    else:
+        found[1](1)
+
+
 _COMMANDS = {"synth": _cmd_synth, "train": _cmd_train,
              "estimate": _cmd_estimate, "evaluate": _cmd_evaluate}
 
@@ -358,6 +409,7 @@ def main(argv=None) -> int:
         return 1
     logging.basicConfig(stream=sys.stderr, level=_LOG_LEVELS[level_name],
                         format="%(levelname)s %(name)s: %(message)s")
+    _pin_blas_threads()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -114,8 +114,10 @@ def _nesterov_loop(b0, grad, err, lip, q_max, rel_tol=None, noise=0.0):
     iterate, so errors that differ by rounding take the same steps, and the
     result measures at most that slack above the entry point.  An err with
     one value per column, of a block that separates over columns, gives each
-    column its own momentum, restarts and stop.  Without rel_tol the loop
-    stops only at q_max or an error of 0.  Returns (best iterate, iterations).
+    column its own momentum, restarts and stop.  A restart of a step that
+    began at the best iterate stops its column, since every later step would
+    repeat it.  Without rel_tol the loop stops only at q_max, an error of 0
+    or such a restart.  Returns (best iterate, iterations).
     """
     e_prev = err(b0)
     columns = np.ndim(e_prev) > 0
@@ -149,9 +151,12 @@ def _nesterov_loop(b0, grad, err, lip, q_max, rel_tol=None, noise=0.0):
             b_best = where(better, b_new, b_best)
             e_best = where(better, minimum(e_curr, e_best), e_best)
         b = b_new
+        # a restart on a step that began at the best iterate (alpha_prev 1:
+        # the first step, or the one after a restart) would repeat that step
+        # to q_max, so it stops the column instead
+        active = active & where(restart, alpha_prev != 1.0, eps >= eps_min)
         alpha_prev = alpha
         e_prev = e_curr
-        active = active & (restart | (eps >= eps_min))
     return b_best, n
 
 

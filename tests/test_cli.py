@@ -1,5 +1,6 @@
 """Command-line workflow: synth, train, estimate, evaluate."""
 
+import ctypes
 import os
 import re
 import struct
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import ttnmf
-from ttnmf import load_matrix_csv, load_model
+from ttnmf import cli, load_matrix_csv, load_model
 from ttnmf.cli import main
 
 
@@ -57,6 +58,17 @@ def test_synth_is_deterministic(tmp_path):
 def test_synth_bad_mask_fraction(tmp_path, capsys):
     assert _synth(tmp_path / "d", "--mask-fraction", "1.5") == 1
     assert "mask fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--mask-fraction", "1.5"],
+                                   ["--split", "80"]])
+def test_synth_bad_setting_writes_nothing(tmp_path, capsys, extra):
+    # both settings are checked before the first file is written
+    out = tmp_path / "d"
+    out.mkdir()
+    assert _synth(out, *extra) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -145,12 +157,13 @@ _PIPELINE = """
 import sys
 from ttnmf.cli import main
 data, run = sys.argv[1] + "/data", sys.argv[1] + "/run"
+routers, rank, T, split, lags = sys.argv[2:]
 for argv in (
-        ["synth", "--out", data, "--routers", "4", "--rank", "2", "--T", "60",
-         "--lags", "1,2", "--split", "40", "--seed", "7"],
+        ["synth", "--out", data, "--routers", routers, "--rank", rank,
+         "--T", T, "--lags", lags, "--split", split, "--seed", "7"],
         ["train", "--out", run, "--routing", data + "/routing.csv",
-         "--traffic", data + "/traffic.csv", "--split", "40", "--rank", "2",
-         "--lags", "1,2", "--q-max", "5"],
+         "--traffic", data + "/traffic.csv", "--split", split, "--rank", rank,
+         "--lags", lags, "--q-max", "5"],
         ["estimate", "--out", run, "--model", run + "/model.ttnmf",
          "--linkflows", data + "/linkflows_test.csv"],
         ["evaluate", "--out", run, "--true", data + "/traffic_test.csv",
@@ -160,15 +173,50 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_cli_pipeline_never_imports_scipy(tmp_path):
-    # only the Laplacian-form oracle (TemporalGraph) needs scipy
-    env = dict(os.environ,
+def _pipeline_process(root, *scenario, **env):
+    """Run synth -> train -> estimate -> evaluate in a fresh interpreter
+    under root; scenario is routers, rank, T, split and lags."""
+    env = dict(os.environ, **env,
                PYTHONPATH=str(Path(ttnmf.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", _PIPELINE, str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", _PIPELINE, str(root),
+                           *scenario],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_cli_pipeline_never_imports_scipy(tmp_path):
+    # only the Laplacian-form oracle (TemporalGraph) needs scipy
+    done = _pipeline_process(tmp_path, "4", "2", "60", "40", "1,2")
     assert done.stdout.strip() == ""
     assert (tmp_path / "run" / "stats.csv").exists()
+
+
+def test_cli_outputs_do_not_depend_on_openblas_threads(tmp_path):
+    # the CLI runs the loaded OpenBLAS on one thread whatever the
+    # environment asks for; without that, on a host with two cores or more,
+    # two threads sum this case's products in another order and change the
+    # last bits of the model and the estimates
+    outputs = []
+    for threads in ("1", "2"):
+        root = tmp_path / threads
+        _pipeline_process(root, "12", "6", "800", "600", "1,2,24",
+                          OPENBLAS_NUM_THREADS=threads)
+        outputs.append([(root / "run" / name).read_bytes()
+                        for name in ("model.ttnmf", "estimated.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_main_runs_openblas_on_one_thread(tmp_path):
+    found = cli._loaded_openblas()
+    if found is None:
+        pytest.skip("numpy is not linked to a known OpenBLAS build")
+    lib, setter = found
+    getter = getattr(lib, setter.__name__.replace("_set_", "_get_"))
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter(2)
+    assert _synth(tmp_path / "data") == 0
+    assert getter() == 1
 
 
 def test_estimate_link_count_mismatch_exits_2(tmp_path, capsys):

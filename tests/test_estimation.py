@@ -8,7 +8,8 @@ Covers:
     trained AR prior used only on windows longer than max_lag; the
     Jacobi-scaled rows: 100 scaled steps against 200 unscaled ones on an
     ill-conditioned window, the descent lemma for the scaled block's step,
-    the info line's data fit, penalized objective and gradient mapping
+    the info line's data fit, penalized objective, gradient mapping and
+    steps, the loop's iterate against the reference loop's
   - EM refinement: exact fixed point, zero observation, boundary ML problem
     against a grid-search oracle, scale equivariance, zero-column skip,
     denominator floor logging, byte identity and the same log lines as the
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import ttnmf.estimation as estimation
 from ttnmf.errors import ConfigError, ShapeError
 from ttnmf.estimation import (WINDOW_ITERS, WINDOW_NOISE, EstimatorConfig,
                               _scaled_block, estimate_latent,
@@ -238,8 +240,38 @@ def test_scaled_latent_step_never_raises_penalized_objective():
             assert f_next <= f_now * (1 + 1e-12), seed
 
 
-def test_window_fit_logs_fit_objective_and_gradient_mapping(caplog):
+def test_window_fit_matches_reference_loop(reference_nesterov_loop):
+    # the window fit's loop returns the reference loop's iterate bit for bit
+    # in no more steps; on seed 0 a restart at the best iterate stops it
+    # early, where the reference repeats that step to the cap
+    steps = []
+    for seed in range(4):
+        model, y = _ill_conditioned_window(seed)
+        c = model.compact_routing
+        d, *triple = _scaled_block(y, c, model, model.lag_set)
+        g0 = d[:, None] * np.maximum(np.linalg.lstsq(c, y, rcond=None)[0], 0.0)
+        got, n = _nesterov_loop(g0, *triple, WINDOW_ITERS, noise=WINDOW_NOISE)
+        want, n_ref = reference_nesterov_loop(g0, *triple, WINDOW_ITERS,
+                                              noise=WINDOW_NOISE)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(estimate_latent(y, model),
+                                      got / d[:, None])
+        assert n <= n_ref
+        steps.append((n, n_ref))
+    assert steps[0][0] < steps[0][1] == WINDOW_ITERS
+
+
+def test_window_fit_logs_fit_objective_and_gradient_mapping(caplog,
+                                                            monkeypatch):
     model, y = _ill_conditioned_window(0)
+    returned = []
+
+    def loop(*args, **kwargs):
+        result = _nesterov_loop(*args, **kwargs)
+        returned.append(result[1])
+        return result
+
+    monkeypatch.setattr(estimation, "_nesterov_loop", loop)
     with caplog.at_level(logging.INFO, logger="ttnmf.estimation"):
         h = estimate_latent(y, model)
     lines = [r.getMessage() for r in caplog.records
@@ -251,7 +283,8 @@ def test_window_fit_logs_fit_objective_and_gradient_mapping(caplog):
         r"mapping (\S+) of the start's", lines[0])
     assert found, lines[0]
     steps, cap, fit_rel, objective, mapping = found.groups()
-    assert int(steps) == WINDOW_ITERS and cap
+    # a restart at the best iterate stops this fit before the cap
+    assert returned == [int(steps)] and int(steps) < WINDOW_ITERS and not cap
     fit, penalized = _penalized(model, y, h)
     assert float(fit_rel) == pytest.approx(fit / np.sum(y * y), rel=1e-6)
     assert float(objective) == pytest.approx(penalized, rel=1e-6)

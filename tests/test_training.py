@@ -12,7 +12,8 @@ Covers:
     set
   - block errors from the Gram products against the direct residual (per
     latent row for the AR block), near exact fits included
-  - inner loop behavior: active projection, interior quadratic convergence
+  - inner loop behavior: active projection, interior quadratic convergence,
+    iterates bit for bit the reference loop's in no more iterations
   - penalty tuning: in-test ratio oracle, ratio = 1 construction, vanishing
     denominators, empty lag set, beta = 0
   - missing data: em_mask_step selection oracle, weighted fill on planted
@@ -336,10 +337,54 @@ def test_update_ar_matches_per_row_blocks():
         assert iters[1] == 0
         assert max(iters) <= n <= 50
         # with one lag of 5 in 6 slots each row reaches its minimum in one
-        # step; rounding-level rises of the Gram-form err there count as
-        # restarts, which keep the loop running to q_max at the same result
+        # step; a rounding-level rise of the Gram-form err on the step from
+        # there restarts at the best iterate, which stops the row one pass
+        # after the reference's
         if len(lags) > 1:
             assert n == max(iters)
+        else:
+            assert n <= max(iters) + 1
+
+
+def test_loop_matches_reference_loop_bit_for_bit(reference_nesterov_loop):
+    # the stop on a restart at the best iterate ends only loops that would
+    # repeat that step to q_max, so the spatial, latent (also per column)
+    # and AR blocks return the reference loop's iterate bit for bit, in no
+    # more iterations
+    rng = np.random.default_rng(40)
+    model, routing = _model(rng, n=8, k=3, T=30)
+    x = rng.random((8, 30))
+    weights = RegularizationWeights(0.5, 0.5, 0.2, 0.2)
+    a = training.routing_array(routing)
+    cases = [
+        (model.spatial,
+         training._spatial_block(x, model.latent, weights, a)),
+        (model.latent,
+         training._latent_block(x, model.spatial, model.ar_weights,
+                                model.lag_set, weights)),
+        (model.latent,
+         training._latent_block(x, model.spatial, np.zeros((3, 0)), LagSet(),
+                                RegularizationWeights(), by_column=True)),
+    ]
+    for lags, T in (((1, 2), 15), ((1, 3, 7), 40), ((5,), 6)):
+        latent = rng.random((4, T))
+        latent[1] = 0.0
+        cases.append((rng.random((len(lags), 4)),
+                      training._ar_block(latent, LagSet(lags), 2.5)))
+    fewer = 0
+    for b0, triple in cases:
+        for q_max, rel_tol, noise in ((10, 1e-3, 0.0), (200, 1e-12, 0.0),
+                                      (200, None, 0.0), (200, None, 1e-13)):
+            got, n = training._nesterov_loop(b0, *triple, q_max,
+                                             rel_tol=rel_tol, noise=noise)
+            want, n_ref = reference_nesterov_loop(b0, *triple, q_max,
+                                                  rel_tol=rel_tol, noise=noise)
+            np.testing.assert_array_equal(got, want)
+            assert n <= n_ref
+            fewer += n < n_ref
+    # here the spatial block, whose steps also follow the orthogonality
+    # term, restarts at the best iterate after 4 steps at every setting
+    assert fewer > 0
 
 
 def test_lipschitz_ar_matches_design_gram():
