@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError, ValidationError
-
-if TYPE_CHECKING:  # imported where used, so the CLI never loads scipy
-    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -82,38 +78,48 @@ class TemporalGraph:
     """Signed similarity graph over timestamps induced by one row of AR weights.
 
     `bands[d]` holds the edge weights S(t, t+d) for displacement d > 0
-    (symmetric counterpart implied), `diagonal` the boundary-correction
-    diagonal D, and `laplacian` the graph Laplacian of S.  Storage is banded:
-    T x T dense matrices are never materialized.
+    (symmetric counterpart implied) and `diagonal` the boundary-correction
+    diagonal D.  Storage is banded: penalty() and gradient() apply the graph
+    Laplacian L of S band by band, and only the inspection helpers
+    weight_matrix() and laplacian() form T x T matrices.
     """
 
     n_timestamps: int
     bands: dict
     diagonal: np.ndarray
-    laplacian: sp.csr_matrix
 
-    def weight_matrix(self) -> sp.csr_matrix:
-        """Symmetric edge-weight matrix S (no self loops)."""
-        import scipy.sparse as sp
-        T = self.n_timestamps
-        if not self.bands:
-            return sp.csr_matrix((T, T))
-        diags, offs = [], []
+    def weight_matrix(self) -> np.ndarray:
+        """Dense symmetric edge-weight matrix S (no self loops), for inspection."""
+        s = np.zeros((self.n_timestamps, self.n_timestamps))
         for d, band in self.bands.items():
-            diags += [band, band]
-            offs += [d, -d]
-        return sp.diags(diags, offs, shape=(T, T), format="csr")
+            s += np.diag(band, d) + np.diag(band, -d)
+        return s
+
+    def laplacian(self) -> np.ndarray:
+        """Dense graph Laplacian diag(S 1) - S, for inspection."""
+        s = self.weight_matrix()
+        return np.diag(s.sum(axis=1)) - s
+
+    def _laplacian_times(self, row: np.ndarray) -> np.ndarray:
+        """(L v)_t = sum_d S(t, t+d)(v_t - v_{t+d}), plus its mirror
+        S(t-d, t)(v_t - v_{t-d}), from the bands."""
+        out = np.zeros_like(row)
+        for d, band in self.bands.items():
+            diff = band * (row[:-d] - row[d:])
+            out[:-d] += diff
+            out[d:] -= diff
+        return out
 
     def penalty(self, row: np.ndarray) -> float:
         """1/2 sum S(t1,t2)(h_t1-h_t2)^2 + 1/2 h D h^T for one latent row."""
         row = np.asarray(row, dtype=float)
-        quad = float(row @ (self.laplacian @ row))
+        quad = float(row @ self._laplacian_times(row))
         return quad + 0.5 * float((row * row) @ self.diagonal)
 
     def gradient(self, row: np.ndarray) -> np.ndarray:
         """Gradient of penalty() with respect to the row."""
         row = np.asarray(row, dtype=float)
-        return 2.0 * (self.laplacian @ row) + self.diagonal * row
+        return 2.0 * self._laplacian_times(row) + self.diagonal * row
 
 
 def build_temporal_graph(ar_row, lag_set: LagSet, n_timestamps: int) -> TemporalGraph:
@@ -123,7 +129,6 @@ def build_temporal_graph(ar_row, lag_set: LagSet, n_timestamps: int) -> Temporal
     diagonal correction reproduces the AR residual sum exactly, boundary
     effects included.
     """
-    import scipy.sparse as sp
     T = int(n_timestamps)
     if T < 1:
         raise ConfigError(f"need at least one timestamp, got {T}")
@@ -133,7 +138,7 @@ def build_temporal_graph(ar_row, lag_set: LagSet, n_timestamps: int) -> Temporal
     if np.any(ar_row < 0):
         raise ValidationError("AR weights must be nonnegative")
     if len(lag_set) == 0:
-        return TemporalGraph(T, {}, np.zeros(T), sp.csr_matrix((T, T)))
+        return TemporalGraph(T, {}, np.zeros(T))
     L = lag_set.max_lag
     if L >= T:
         raise ConfigError(f"max lag {L} must be < number of timestamps {T}")
@@ -161,18 +166,7 @@ def build_temporal_graph(ar_row, lag_set: LagSet, n_timestamps: int) -> Temporal
     window = np.zeros(T)
     for i, li in enumerate(offsets):
         window[L - li : T - li] += signed[i]
-    diagonal = total * window
-
-    rowsum = np.zeros(T)
-    for d, band in bands.items():
-        rowsum[: T - d] += band
-        rowsum[d:] += band
-    diags, offs = [rowsum], [0]
-    for d, band in bands.items():
-        diags += [-band, -band]
-        offs += [d, -d]
-    laplacian = sp.diags(diags, offs, shape=(T, T), format="csr")
-    return TemporalGraph(T, bands, diagonal, laplacian)
+    return TemporalGraph(T, bands, total * window)
 
 
 def lag_designs(latent: np.ndarray, lag_set: LagSet) -> np.ndarray:

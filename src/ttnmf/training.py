@@ -22,24 +22,27 @@ from .network import TrafficMatrix
 logger = logging.getLogger(__name__)
 
 BLOCKS = ("spatial", "latent", "ar")
+# inner iterations of each block per outer iteration
+Q_BLOCK_MAX = 10
+# training stops once the penalized objective F falls by less than DELTA * F
+DELTA = 1e-3
+# a block's loop stops once a step lowers its error by less than this share of
+# the error it entered with
+BLOCK_DELTAS = {"spatial": 1e-3, "latent": 1e-3, "ar": 1e-5}
 # penalty-free outer iterations on EM-filled gappy data before tune_penalties
 EM_WARMUP_ITERS = 10
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for the outer loop and the per-block inner loops."""
+    """Settings of a train() call; the loop tolerances are the module
+    constants Q_BLOCK_MAX, DELTA and BLOCK_DELTAS."""
 
     rank: int
     lag_set: LagSet = LagSet()
     beta_temporal: float = 0.2
     beta_ortho: float = 0.2
     q_max: int = 50
-    q_block_max: int = 10
-    delta: float = 1e-3
-    delta_spatial: float = 1e-3
-    delta_latent: float = 1e-3
-    delta_ar: float = 1e-5
     missing_mode: str = "none"
 
     def validate(self):
@@ -49,18 +52,10 @@ class TrainConfig:
             b = getattr(self, name)
             if not 0.0 <= b <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {b}")
-        if self.q_max < 1 or self.q_block_max < 1:
-            raise ConfigError("iteration limits must be >= 1")
-        for name in ("delta", "delta_spatial", "delta_latent", "delta_ar"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0")
+        if self.q_max < 1:
+            raise ConfigError(f"q_max must be >= 1, got {self.q_max}")
         if self.missing_mode not in ("none", "weighted_fill", "em_mask"):
             raise ConfigError(f"unknown missing_mode {self.missing_mode!r}")
-
-    def block_delta(self, block: str) -> float:
-        return {"spatial": self.delta_spatial,
-                "latent": self.delta_latent,
-                "ar": self.delta_ar}[block]
 
 
 @dataclass
@@ -423,18 +418,17 @@ def _outer_iteration(x, w, h, omega, weights, a, config, q):
     checked for non-finite values.  Returns (w, h, omega, data fit, block
     iterations), the data fit in the latent block's Gram form."""
     snapshot = {"spatial": w, "latent": h, "ar_weights": omega, "iteration": q}
-    w, it_s = _update_spatial(x, w, h, weights, a, config.q_block_max,
-                              config.block_delta("spatial"))
+    w, it_s = _update_spatial(x, w, h, weights, a, Q_BLOCK_MAX,
+                              BLOCK_DELTAS["spatial"])
     _check_finite("spatial", w, q, snapshot)
     h, it_l, fit = _update_latent(x, w, h, omega, config.lag_set, weights,
-                                  config.q_block_max,
-                                  config.block_delta("latent"))
+                                  Q_BLOCK_MAX, BLOCK_DELTAS["latent"])
     _check_finite("latent", h, q, snapshot)
     it_a = 0
     if weights.lambda_temporal > 0 and len(config.lag_set) > 0:
         omega, it_a = _update_ar(h, omega, config.lag_set,
-                                 weights.lambda_temporal, config.q_block_max,
-                                 config.block_delta("ar"))
+                                 weights.lambda_temporal, Q_BLOCK_MAX,
+                                 BLOCK_DELTAS["ar"])
         _check_finite("ar_weights", omega, q, snapshot)
     return w, h, omega, fit, (it_s, it_l, it_a)
 
@@ -447,7 +441,9 @@ def train(traffic, routing, config: TrainConfig):
     after every outer iteration and never increases; it comes from the
     latent block's Gram products, so no iteration forms the n x T residual.
     Training stops at q_max, or once the penalized objective F falls by less
-    than delta * F of the previous iteration; a rise of F never stops it.
+    than DELTA * F of the previous iteration; a rise of F never stops it.
+    A mask with an unobserved cell needs missing_mode "em_mask" or
+    "weighted_fill": under "none" it raises ConfigError.
     """
     config.validate()
     if isinstance(traffic, np.ndarray):
@@ -464,8 +460,14 @@ def train(traffic, routing, config: TrainConfig):
         raise ConfigError(
             f"max lag {config.lag_set.max_lag} must be < training length {T}")
 
-    t0 = time.perf_counter()
     gappy = mask is not None and not mask.all()
+    if gappy and config.missing_mode == "none":
+        raise ConfigError(
+            f"the mask has {int(mask.size - mask.sum())} unobserved cells, "
+            "which missing_mode 'none' would fit as data; use missing_mode "
+            "'em_mask' or 'weighted_fill'")
+
+    t0 = time.perf_counter()
     if config.missing_mode == "weighted_fill" and gappy:
         x = fill_missing_weighted(x, mask, config.rank)
         gappy = False
@@ -513,7 +515,7 @@ def train(traffic, routing, config: TrainConfig):
         t_trace.append(temporal)
         o_trace.append(ortho)
         wall_ms.append((time.perf_counter() - t0) * 1000.0)
-        if 0.0 <= f_trace[-2] - f_trace[-1] < config.delta * f_trace[-2]:
+        if 0.0 <= f_trace[-2] - f_trace[-1] < DELTA * f_trace[-2]:
             stop_reason = "converged"
             break
 

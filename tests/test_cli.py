@@ -134,6 +134,19 @@ def test_full_pipeline_round_trip(tmp_path):
         assert (run / name).exists()
 
 
+def test_gappy_mask_without_missing_mode_exits_1(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    _synth(data, "--mask-fraction", "0.3")
+    capsys.readouterr()
+    assert _train(data, run, "--mask", str(data / "mask.csv")) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "em_mask" in err and "weighted_fill" in err
+    assert not (run / "model.ttnmf").exists()
+    assert _train(data, run, "--mask", str(data / "mask.csv"),
+                  "--missing-mode", "em_mask") == 0
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nonfinite_delta_em_exits_1(tmp_path, capsys, value):
     # a non-finite EM tolerance would stop EM after its first step
@@ -173,23 +186,45 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def _pipeline_process(root, *scenario, **env):
-    """Run synth -> train -> estimate -> evaluate in a fresh interpreter
-    under root; scenario is routers, rank, T, split and lags."""
+def _fresh_interpreter(script, *args, **env):
+    """Run script with args in a fresh interpreter that imports this ttnmf."""
     env = dict(os.environ, **env,
                PYTHONPATH=str(Path(ttnmf.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", _PIPELINE, str(root),
-                           *scenario],
+    done = subprocess.run([sys.executable, "-c", script, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return done
 
 
+def _pipeline_process(root, *scenario, **env):
+    """Run synth -> train -> estimate -> evaluate in a fresh interpreter
+    under root; scenario is routers, rank, T, split and lags."""
+    return _fresh_interpreter(_PIPELINE, str(root), *scenario, **env)
+
+
 def test_cli_pipeline_never_imports_scipy(tmp_path):
-    # only the Laplacian-form oracle (TemporalGraph) needs scipy
     done = _pipeline_process(tmp_path, "4", "2", "60", "40", "1,2")
     assert done.stdout.strip() == ""
     assert (tmp_path / "run" / "stats.csv").exists()
+
+
+_ORACLE = """
+import sys
+import numpy as np
+import ttnmf
+lags = ttnmf.LagSet((1, 3))
+graph = ttnmf.build_temporal_graph(np.array([0.5, 0.3]), lags, 12)
+row = np.linspace(1.0, 2.0, 12)
+graph.penalty(row), graph.gradient(row), graph.laplacian()
+ttnmf.temporal_penalty_value(np.ones((2, 12)), np.full((2, 2), 0.4), lags,
+                             form="laplacian")
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_laplacian_oracle_never_imports_scipy():
+    # the package's runtime dependency is numpy alone
+    assert _fresh_interpreter(_ORACLE).stdout.strip() == ""
 
 
 def test_cli_outputs_do_not_depend_on_openblas_threads(tmp_path):

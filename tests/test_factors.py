@@ -152,10 +152,10 @@ def test_temporal_penalty_forms_agree_randomized():
 def test_temporal_graph_structure():
     ls = LagSet([1, 3])
     graph = build_temporal_graph(np.array([0.7, 0.2]), ls, 12)
-    s = graph.weight_matrix().toarray()
+    s = graph.weight_matrix()
     np.testing.assert_allclose(s, s.T, atol=0)
     assert not np.diag(s).any()  # no self loops
-    lap = graph.laplacian.toarray()
+    lap = graph.laplacian()
     np.testing.assert_allclose(lap - np.diag(np.diag(lap)), -s + np.diag(np.diag(s)),
                                atol=1e-15)
     np.testing.assert_allclose(np.diag(lap), s.sum(axis=1), atol=1e-15)

@@ -1,7 +1,7 @@
 """Trainer tests.
 
 Covers:
-  - config validation and per-block thresholds
+  - config validation
   - momentum schedule hand value
   - analytic gradients: stationary point, finite differences (also with
     per-row temporal weights), lambda = 0 reduction
@@ -19,8 +19,8 @@ Covers:
   - missing data: em_mask_step selection oracle, weighted fill on planted
     rank-1 data, degenerate rows/columns
   - train: monotone trace, nonneg iterates, planted fit quality, plain-NMF
-    reduction, input validation, non-finite guard, the seed residual's
-    memory
+    reduction, input validation (a gappy mask needs a missing mode),
+    non-finite guard, the seed residual's memory
   - stop rule: converged before q_max on the acceptance scenarios (with and
     without em_mask), q_max with a tiny delta, penalized trace oracle, the
     Gram-form trace and the penalty-term traces against objective_terms of
@@ -89,18 +89,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(rank=2, q_max=0).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(rank=2, delta=0.0).validate()
-    for bad in (math.nan, math.inf):
-        for name in ("delta", "delta_spatial", "delta_latent", "delta_ar"):
-            with pytest.raises(ConfigError):
-                TrainConfig(rank=2, **{name: bad}).validate()
-    with pytest.raises(ConfigError):
         TrainConfig(rank=2, missing_mode="drop").validate()
-
-
-def test_config_block_overrides():
-    cfg = TrainConfig(rank=2)
-    assert cfg.block_delta("ar") == cfg.delta_ar
 
 
 def test_momentum_schedule():
@@ -275,13 +264,13 @@ def test_lipschitz_latent_upper_bounds_temporal_hessian():
         graphs = [build_temporal_graph(model.ar_weights[p], model.lag_set,
                                        model.n_timestamps)
                   for p in range(model.rank)]
+        laplacians = [g.laplacian() for g in graphs]
         wtw = model.spatial.T @ model.spatial
 
         def hess_vec(v):
             out = 2.0 * wtw @ v
-            for p, g in enumerate(graphs):
-                out[p] += lam_t * (2.0 * (g.laplacian @ v[p])
-                                   + g.diagonal * v[p])
+            for p, (g, lap) in enumerate(zip(graphs, laplacians)):
+                out[p] += lam_t * (2.0 * (lap @ v[p]) + g.diagonal * v[p])
             return out
 
         lam = _power_iteration(hess_vec, model.latent.shape, iters=2000)
@@ -628,13 +617,14 @@ def test_train_trace_monotone_and_factors_nonneg():
                                scen.routing.entries @ model.spatial, atol=1e-12)
 
 
-def test_train_fits_planted_noiseless_data():
+def test_train_fits_planted_noiseless_data(monkeypatch):
     # fit-capacity check: penalties off, exact rank, noiseless data
+    monkeypatch.setattr(training, "Q_BLOCK_MAX", 20)
     scen = generate_synthetic(n_routers=5, planted_rank=3, n_timestamps=200,
                               planted_lags=LagSet([1, 2]), noise_level=0.0,
                               seed=18)
     cfg = TrainConfig(rank=3, lag_set=LagSet([1, 2]), beta_temporal=0.0,
-                      beta_ortho=0.0, q_max=150, q_block_max=20)
+                      beta_ortho=0.0, q_max=150)
     model, report = train(scen.traffic, scen.routing, cfg)
     x = scen.traffic.entries
     rel = np.linalg.norm(x - model.spatial @ model.latent) / np.linalg.norm(x)
@@ -684,9 +674,10 @@ def test_train_stops_when_penalized_objective_stalls():
     assert report.stop_reason == "converged"
     assert report.n_iterations < cfg.q_max
     assert len(report.penalized_trace) == len(report.objective_trace)
-    assert _stopped_at_relative_drop(report, cfg.delta)
+    assert _stopped_at_relative_drop(report, training.DELTA)
     f = report.penalized_trace
-    assert not any(0.0 <= a - b < cfg.delta * a for a, b in zip(f[:-2], f[1:-1]))
+    assert not any(0.0 <= a - b < training.DELTA * a
+                   for a, b in zip(f[:-2], f[1:-1]))
     # the last entry is the penalized objective of the returned model
     assert f[-1] == pytest.approx(
         objective_value(scen.traffic.entries, model, model.weights,
@@ -754,9 +745,10 @@ def test_train_forms_the_seed_residual_once_in_place():
     assert peak < 1.5 * x.nbytes
 
 
-def test_train_tiny_delta_runs_to_q_max():
+def test_train_tiny_delta_runs_to_q_max(monkeypatch):
+    monkeypatch.setattr(training, "DELTA", 1e-15)
     scen = generate_synthetic(6, 4, 300, LagSet((1, 2)), 0.05, seed=3)
-    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)), q_max=20, delta=1e-15)
+    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)), q_max=20)
     _, report = train(scen.traffic, scen.routing, cfg)
     assert report.stop_reason == "q_max"
     assert report.n_iterations == 20
@@ -772,7 +764,7 @@ def test_train_em_mask_stops_before_q_max():
     _, report = train(TrafficMatrix(x * mask, mask=mask), scen.routing, cfg)
     assert report.stop_reason == "converged"
     assert report.n_iterations < cfg.q_max
-    assert _stopped_at_relative_drop(report, cfg.delta)
+    assert _stopped_at_relative_drop(report, training.DELTA)
 
 
 def test_train_accepts_plain_arrays():
@@ -793,6 +785,21 @@ def test_train_validates_inputs():
         train(x, np.ones((4, 6)), TrainConfig(rank=7))
     with pytest.raises(ConfigError):
         train(x, np.ones((4, 6)), TrainConfig(rank=2, lag_set=LagSet([25])))
+
+
+def test_train_rejects_gappy_mask_without_missing_mode():
+    # missing_mode "none" would fit the unobserved cells as if they were data
+    rng = np.random.default_rng(24)
+    x = rng.random((6, 20))
+    routing = (rng.random((4, 6)) < 0.5).astype(float)
+    mask = np.ones_like(x)
+    mask[2, 5] = 0.0
+    with pytest.raises(ConfigError, match="em_mask.*weighted_fill"):
+        train(TrafficMatrix(x * mask, mask=mask), routing, TrainConfig(rank=2))
+    # a mask that observes every cell needs no missing mode
+    model, _ = train(TrafficMatrix(x, mask=np.ones_like(x)), routing,
+                     TrainConfig(rank=2, q_max=3))
+    assert model.n_flows == 6
 
 
 def test_train_raises_numerical_failure_on_nonfinite_block(monkeypatch):
