@@ -15,8 +15,7 @@ from .network import (LinkFlowMatrix, RoutingMatrix, SyntheticScenario,
                       TrafficMatrix, compute_link_flows, generate_synthetic,
                       split_train_test)
 from .training import (TrainConfig, TrainReport, block_gradient,
-                       em_mask_step, fill_missing_weighted, train,
-                       tune_penalties)
+                       em_mask_step, train, tune_penalties)
 
 __version__ = "0.1.0"
 
@@ -34,6 +33,6 @@ __all__ = [
     "ErrorVector", "cdf_points", "sre", "summary_stats", "tre",
     "LinkFlowMatrix", "RoutingMatrix", "SyntheticScenario", "TrafficMatrix",
     "compute_link_flows", "generate_synthetic", "split_train_test",
-    "TrainConfig", "TrainReport", "block_gradient", "em_mask_step",
-    "fill_missing_weighted", "train", "tune_penalties",
+    "TrainConfig", "TrainReport", "block_gradient", "em_mask_step", "train",
+    "tune_penalties",
 ]

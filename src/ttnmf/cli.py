@@ -88,8 +88,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--lags")
     p.add_argument("--beta-h", dest="beta_h", type=float)
     p.add_argument("--beta-a", dest="beta_a", type=float)
-    p.add_argument("--missing-mode", dest="missing_mode",
-                   choices=("none", "weighted_fill", "em_mask"))
     p.add_argument("--q-max", dest="q_max", type=int)
     p.add_argument("--split", type=int)
     p.add_argument("--profile", choices=tuple(PROFILES))
@@ -108,11 +106,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# the training and estimation defaults are those of their config classes
 _DEFAULTS = {
     "routers": 6, "rank": 4, "n_timestamps": 400, "lags": "1,2",
     "noise": 0.05, "seed": 0, "split": None, "mask_fraction": 0.0,
-    "beta_h": 0.2, "beta_a": 0.2, "missing_mode": "none", "q_max": 50,
-    "r_max_em": 200, "delta_em": 1e-9,
+    "beta_h": TrainConfig.beta_temporal, "beta_a": TrainConfig.beta_ortho,
+    "q_max": TrainConfig.q_max, "r_max_em": EstimatorConfig.r_max_em,
+    "delta_em": EstimatorConfig.delta_em,
 }
 
 _CASTS = {
@@ -149,8 +149,7 @@ def _load_config(args) -> dict:
         path = _require_file(args.config, "config")
         cfg = parse_config_file(path)
         known = set(_CASTS) | {"lags", "routing", "traffic", "mask", "model",
-                               "linkflows", "true_path", "est_path",
-                               "missing_mode", "profile"}
+                               "linkflows", "true_path", "est_path", "profile"}
         unknown = set(cfg) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -267,7 +266,7 @@ def _cmd_train(args) -> int:
     config = TrainConfig(
         rank=get("rank"), lag_set=lag_set,
         beta_temporal=get("beta_h"), beta_ortho=get("beta_a"),
-        q_max=get("q_max"), missing_mode=get("missing_mode"))
+        q_max=get("q_max"))
     model, report = train(traffic, routing, config)
 
     out = _outdir(args)

@@ -217,12 +217,21 @@ def _parse(path, what, cast, value):
         raise ParseError(f"{path}: bad {what}: {exc}") from None
 
 
+def _dims(text) -> tuple:
+    """The four ints of a dims line: OD pairs, rank, timestamps, links."""
+    values = text.split()
+    if len(values) != 4:
+        raise ValueError(f"expected 4 integers, got {text!r}")
+    return tuple(int(v) for v in values)
+
+
 def load_model(path) -> ModelArchive:
     """Inverse of save_model; matrices round-trip bit-exactly.
 
-    A malformed or truncated archive, or one whose matrix payload does not
-    match its payload_sha256, raises ParseError (or ShapeError /
-    ValidationError when well-formed factors do not fit together).
+    A malformed or truncated archive, one that lacks a header field, or one
+    whose matrix payload does not match its payload_sha256 or whose matrices
+    do not have the shapes of its dims line, raises ParseError (or ShapeError
+    / ValidationError when well-formed factors do not fit together).
     """
     with open(path, "rb") as fh:
         magic = _read_line(fh, path).split()
@@ -246,7 +255,7 @@ def load_model(path) -> ModelArchive:
             if parts[0] == "prov":
                 provenance[parts[1]] = " ".join(parts[2:])
             else:
-                fields[parts[0]] = parts[1]
+                fields[parts[0]] = " ".join(parts[1:])
         digest = hashlib.sha256()
         matrices = {}
         for _ in range(n_matrices):
@@ -273,18 +282,23 @@ def load_model(path) -> ModelArchive:
             digest.update(raw)
             matrices[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
 
-    if "payload_sha256" not in fields:
-        raise ParseError(f"{path}: missing header field 'payload_sha256'")
-    if digest.hexdigest() != fields["payload_sha256"]:
+    for required in ("payload_sha256", "dims", "lags", *_WEIGHTS):
+        if required not in fields:
+            raise ParseError(f"{path}: missing header field {required!r}")
+    if fields["payload_sha256"] != digest.hexdigest():
         raise ParseError(f"{path}: matrix payload does not match its "
                          f"payload_sha256")
     for required in ("spatial", "latent", "ar_weights", "routing"):
         if required not in matrices:
             raise ParseError(f"{path}: missing matrix {required!r}")
-    for required in _WEIGHTS:
-        if required not in fields:
-            raise ParseError(f"{path}: missing header field {required!r}")
-    lag_set = _parse(path, "lags line", LagSet.from_text, fields.get("lags"))
+    n, k, t, links = _parse(path, "dims line", _dims, fields["dims"])
+    for name, shape in (("spatial", (n, k)), ("latent", (k, t)),
+                        ("routing", (links, n))):
+        if matrices[name].shape != shape:
+            raise ParseError(
+                f"{path}: dims {n} {k} {t} {links} give {name} the shape "
+                f"{shape}, not {matrices[name].shape}")
+    lag_set = _parse(path, "lags line", LagSet.from_text, fields["lags"])
     weights = _parse(path, "penalty weights", lambda f: RegularizationWeights(
         **{key: float(f[key]) for key in _WEIGHTS}), fields)
     routing = RoutingMatrix(matrices["routing"])

@@ -44,6 +44,16 @@ class RoutingMatrix:
         return self.entries.shape[1]
 
 
+def _require_finite(arr, what):
+    """Raise ValidationError naming the first non-finite cell of arr."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"{what} must be finite; cell ({i + 1},{j + 1}) is "
+            f"{float(arr[i, j])}")
+
+
 @dataclass(frozen=True)
 class TrafficMatrix:
     """OD flows over time; `mask` marks observed entries (1) when data has gaps."""
@@ -56,6 +66,7 @@ class TrafficMatrix:
         arr = np.ascontiguousarray(self.entries, dtype=float)
         if arr.ndim != 2:
             raise ShapeError("traffic matrix must be 2-D")
+        _require_finite(arr, "traffic")
         mask = self.mask
         if mask is not None:
             mask = np.ascontiguousarray(mask, dtype=float)
@@ -107,6 +118,7 @@ class LinkFlowMatrix:
         arr = np.ascontiguousarray(self.entries, dtype=float)
         if arr.ndim != 2:
             raise ShapeError("link-flow matrix must be 2-D")
+        _require_finite(arr, "link flows")
         if arr.size and arr.min() < 0:
             i, j = np.argwhere(arr < 0)[0]
             raise ValidationError(

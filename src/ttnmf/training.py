@@ -43,7 +43,6 @@ class TrainConfig:
     beta_temporal: float = 0.2
     beta_ortho: float = 0.2
     q_max: int = 50
-    missing_mode: str = "none"
 
     def validate(self):
         if self.rank < 1:
@@ -54,8 +53,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {b}")
         if self.q_max < 1:
             raise ConfigError(f"q_max must be >= 1, got {self.q_max}")
-        if self.missing_mode not in ("none", "weighted_fill", "em_mask"):
-            raise ConfigError(f"unknown missing_mode {self.missing_mode!r}")
 
 
 @dataclass
@@ -354,58 +351,6 @@ def em_mask_step(x, mask, spatial, latent) -> np.ndarray:
     return mask * x + (1.0 - mask) * (spatial @ latent)
 
 
-def fill_missing_weighted(x, mask, rank: int, n_sweeps: int = 300,
-                          tol: float = 1e-10) -> np.ndarray:
-    """Complete missing entries by a masked low-rank factorization.
-
-    Minimizes ||mask o (X - W H)||_F^2 with the same accelerated projected
-    updates as training, then returns X with unobserved entries replaced by
-    the fit.  Rows and columns with no nonzero observation are filled with 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if mask is None:
-        return x.copy()
-    mask = np.asarray(mask, dtype=float)
-    if mask.shape != x.shape:
-        raise ShapeError(f"mask shape {mask.shape} != data shape {x.shape}")
-    if mask.all():
-        return x.copy()
-    observed = mask * x
-    w, h = init_factors_svd(observed, rank)
-
-    def err_w(b):
-        return _frob2(mask * (x - b @ h))
-
-    def err_h(b):
-        return _frob2(mask * (x - w @ b))
-
-    e_prev = err_w(w)
-    for _ in range(n_sweeps):
-        w, _ = _nesterov_loop(
-            w, lambda c: 2.0 * ((mask * (c @ h - x)) @ h.T), err_w,
-            _positive(2.0 * _norm2(h @ h.T)), 10, rel_tol=1e-6)
-        h, _ = _nesterov_loop(
-            h, lambda c: 2.0 * (w.T @ (mask * (w @ c - x))), err_h,
-            _positive(2.0 * _norm2(w.T @ w)), 10, rel_tol=1e-6)
-        e_curr = err_h(h)
-        if e_prev - e_curr <= tol * max(e_prev, 1e-300):
-            break
-        e_prev = e_curr
-
-    completed = observed + (1.0 - mask) * (w @ h)
-    dead_rows = ~(observed != 0).any(axis=1)
-    dead_cols = ~(observed != 0).any(axis=0)
-    if dead_rows.any() or dead_cols.any():
-        logger.warning("fill_missing_weighted: %d rows / %d columns have no "
-                       "nonzero observation; filled with 0",
-                       int(dead_rows.sum()), int(dead_cols.sum()))
-        completed[dead_rows, :] = np.where(mask[dead_rows, :] == 1.0,
-                                           x[dead_rows, :], 0.0)
-        completed[:, dead_cols] = np.where(mask[:, dead_cols] == 1.0,
-                                           x[:, dead_cols], 0.0)
-    return completed
-
-
 def _check_finite(name, arr, iteration, snapshot):
     if not np.isfinite(arr).all():
         raise NumericalFailure(
@@ -442,8 +387,10 @@ def train(traffic, routing, config: TrainConfig):
     latent block's Gram products, so no iteration forms the n x T residual.
     Training stops at q_max, or once the penalized objective F falls by less
     than DELTA * F of the previous iteration; a rise of F never stops it.
-    A mask with an unobserved cell needs missing_mode "em_mask" or
-    "weighted_fill": under "none" it raises ConfigError.
+    A mask with an unobserved cell trains by EM imputation: from an SVD seed
+    of mask o X, every outer iteration fits X with those cells filled from
+    the current W H (em_mask_step), EM_WARMUP_ITERS penalty-free ones before
+    the penalties are tuned, so the values in unobserved cells never matter.
     """
     config.validate()
     if isinstance(traffic, np.ndarray):
@@ -461,27 +408,16 @@ def train(traffic, routing, config: TrainConfig):
             f"max lag {config.lag_set.max_lag} must be < training length {T}")
 
     gappy = mask is not None and not mask.all()
-    if gappy and config.missing_mode == "none":
-        raise ConfigError(
-            f"the mask has {int(mask.size - mask.sum())} unobserved cells, "
-            "which missing_mode 'none' would fit as data; use missing_mode "
-            "'em_mask' or 'weighted_fill'")
-
     t0 = time.perf_counter()
-    if config.missing_mode == "weighted_fill" and gappy:
-        x = fill_missing_weighted(x, mask, config.rank)
-        gappy = False
-    em_active = config.missing_mode == "em_mask" and gappy
-
-    w, h = init_factors_svd(mask * x if em_active else x, config.rank)
-    if em_active:
+    w, h = init_factors_svd(mask * x if gappy else x, config.rank)
+    if gappy:
         # penalties tuned at the zero-filled seed come out far too strong,
         # so tune them after a penalty-free warm-up on the EM-filled data
         for q in range(1, EM_WARMUP_ITERS + 1):
             w, h, _, _, _ = _outer_iteration(
                 em_mask_step(x, mask, w, h), w, h, None,
                 RegularizationWeights(), a, config, q)
-    x_work = em_mask_step(x, mask, w, h) if em_active else x
+    x_work = em_mask_step(x, mask, w, h) if gappy else x
     omega = init_lag_weights(h, config.lag_set)
     # the seed's data fit, shared by the penalty scale and the trace
     fit = data_fit(x_work, w, h)
@@ -503,7 +439,7 @@ def train(traffic, routing, config: TrainConfig):
     stop_reason = "q_max"
 
     for q in range(1, config.q_max + 1):
-        if em_active:
+        if gappy:
             x_work = em_mask_step(x, mask, w, h)
         w, h, omega, fit, iters = _outer_iteration(x_work, w, h, omega,
                                                    weights, a, config, q)

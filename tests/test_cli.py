@@ -134,17 +134,27 @@ def test_full_pipeline_round_trip(tmp_path):
         assert (run / name).exists()
 
 
-def test_gappy_mask_without_missing_mode_exits_1(tmp_path, capsys):
+def test_gappy_mask_trains_without_a_flag(tmp_path, capsys):
+    # a mask with unobserved cells trains by EM imputation, the one path
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data, "--mask-fraction", "0.3")
+    mask = ["--mask", str(data / "mask.csv")]
+    assert _train(data, run, *mask) == 0
+    rows = (run / "trace.csv").read_text().splitlines()[1:]
+    errs = [float(row.split(",")[1]) for row in rows]
+    assert len(errs) >= 3
+    assert all(b <= a for a, b in zip(errs, errs[1:]))
+    # there is no missing-mode setting, as a flag or as a config key
+    cfg = tmp_path / "gappy.cfg"
+    cfg.write_text("missing_mode=em_mask\n")
     capsys.readouterr()
-    assert _train(data, run, "--mask", str(data / "mask.csv")) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "em_mask" in err and "weighted_fill" in err
-    assert not (run / "model.ttnmf").exists()
-    assert _train(data, run, "--mask", str(data / "mask.csv"),
-                  "--missing-mode", "em_mask") == 0
+    for extra, message in ((["--missing-mode", "em_mask"], "unrecognized"),
+                           (["--config", str(cfg)], "unknown config keys")):
+        assert _train(data, tmp_path / "other", *mask, *extra) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+        assert "missing_mode" in err or "missing-mode" in err
+    assert not (tmp_path / "other").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

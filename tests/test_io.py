@@ -193,6 +193,32 @@ def test_archive_truncated(tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize("dims", [b"999 1 1 1", b"6 3 10 5", b"6 3 10",
+                                  b"6 3 ten 4"])
+def test_archive_dims_must_match_matrices(tmp_path, dims):
+    # the small archive's spatial is 6 x 3, latent 3 x 10, routing 4 x 6
+    p = tmp_path / "m"
+    save_model(p, _small_archive())
+    data = p.read_bytes()
+    assert data.count(b"\ndims 6 3 10 4\n") == 1
+    p.write_bytes(data.replace(b"\ndims 6 3 10 4\n",
+                               b"\ndims " + dims + b"\n"))
+    with pytest.raises(ParseError, match="dims"):
+        load_model(p)
+
+
+@pytest.mark.parametrize("field", ["dims", "lags", "lambda_temporal",
+                                   "beta_ortho", "payload_sha256"])
+def test_archive_missing_header_field(tmp_path, field):
+    p = tmp_path / "m"
+    save_model(p, _small_archive())
+    data = p.read_bytes()
+    line = re.search(rb"\n" + field.encode() + rb" [^\n]*\n", data)
+    p.write_bytes(data[:line.start() + 1] + data[line.end():])
+    with pytest.raises(ParseError, match=f"missing header field '{field}'"):
+        load_model(p)
+
+
 def _reference_load(path, expected_kind):
     """The per-cell parser load_matrix_csv used before numpy's C reader,
     with the same validation, kept as the reference for the fast path."""

@@ -1,7 +1,7 @@
 """Network data types and synthetic generator tests.
 
 Covers:
-  - routing/traffic/mask/link-flow validation
+  - routing/traffic/mask/link-flow validation, non-finite cells included
   - compute_link_flows against a triple-loop oracle
   - train/test splitting (shapes, timestamps, mask slicing)
   - generator determinism, shapes, path coverage, planted structure,
@@ -56,7 +56,7 @@ def test_traffic_rejects_negative_observed():
 
 
 def test_traffic_allows_negative_under_mask():
-    # unobserved entries are placeholders and may hold anything
+    # unobserved entries are placeholders and may hold any finite value
     tm = TrafficMatrix(np.array([[-5.0, 2.0]]), mask=np.array([[0.0, 1.0]]))
     assert tm.n_flows == 1 and tm.n_timestamps == 2
 
@@ -78,6 +78,22 @@ def test_traffic_default_timestamps():
 def test_link_flows_reject_negative():
     with pytest.raises(ValidationError):
         LinkFlowMatrix(np.array([[1.0, -2.0]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_traffic_and_link_flows_reject_non_finite(value):
+    # NaN fails no comparison with 0, so the nonnegativity checks alone let
+    # it through; the first non-finite cell is named, observed or not
+    x = np.ones((2, 3))
+    x[1, 1] = x[1, 2] = value
+    hidden = np.ones_like(x)
+    hidden[1, 1:] = 0.0
+    message = rf"must be finite; cell \(2,2\) is {float(value)}$"
+    for mask in (None, np.ones_like(x), hidden):
+        with pytest.raises(ValidationError, match=message):
+            TrafficMatrix(x, mask=mask)
+    with pytest.raises(ValidationError, match=message):
+        LinkFlowMatrix(x)
 
 
 # ------------------------------------------------------------- link flows

@@ -16,13 +16,13 @@ Covers:
     iterates bit for bit the reference loop's in no more iterations
   - penalty tuning: in-test ratio oracle, ratio = 1 construction, vanishing
     denominators, empty lag set, beta = 0
-  - missing data: em_mask_step selection oracle, weighted fill on planted
-    rank-1 data, degenerate rows/columns
+  - missing data: em_mask_step selection oracle and trivial masks
   - train: monotone trace, nonneg iterates, planted fit quality, plain-NMF
-    reduction, input validation (a gappy mask needs a missing mode),
+    reduction, input validation (non-finite cells included), a gappy mask
+    trained by EM imputation without reading its unobserved cells,
     non-finite guard, the seed residual's memory
-  - stop rule: converged before q_max on the acceptance scenarios (with and
-    without em_mask), q_max with a tiny delta, penalized trace oracle, the
+  - stop rule: converged before q_max on the acceptance scenarios (full and
+    gappy), q_max with a tiny delta, penalized trace oracle, the
     Gram-form trace and the penalty-term traces against objective_terms of
     each iterate
 """
@@ -36,15 +36,15 @@ import pytest
 
 import ttnmf.factors as factors
 import ttnmf.training as training
-from ttnmf.errors import ConfigError, NumericalFailure, ShapeError, UsageError
+from ttnmf.errors import (ConfigError, NumericalFailure, ShapeError, UsageError,
+                          ValidationError)
 from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
                            build_temporal_graph, lag_designs,
                            objective_value, ortho_penalty_value,
                            temporal_penalty_value)
 from ttnmf.network import TrafficMatrix, generate_synthetic
 from ttnmf.training import (TrainConfig, block_gradient, em_mask_step,
-                            fill_missing_weighted, next_momentum, train,
-                            tune_penalties)
+                            next_momentum, train, tune_penalties)
 
 
 def block_lipschitz(block, x, model, weights):
@@ -88,8 +88,6 @@ def test_config_validation():
         TrainConfig(rank=2, beta_ortho=-0.1).validate()
     with pytest.raises(ConfigError):
         TrainConfig(rank=2, q_max=0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(rank=2, missing_mode="drop").validate()
 
 
 def test_momentum_schedule():
@@ -564,41 +562,6 @@ def test_em_mask_step_trivial_masks():
         em_mask_step(x, np.ones((2, 5)), w, h)
 
 
-def test_fill_weighted_identity_on_full_mask():
-    rng = np.random.default_rng(13)
-    x = rng.random((5, 8))
-    np.testing.assert_array_equal(fill_missing_weighted(x, None, 2), x)
-    np.testing.assert_array_equal(
-        fill_missing_weighted(x, np.ones_like(x), 2), x)
-
-
-def test_fill_weighted_completes_planted_rank1():
-    rng = np.random.default_rng(14)
-    u = rng.random(12) + 0.5
-    v = rng.random(30) + 0.5
-    x = np.outer(u, v)
-    mask = (rng.random(x.shape) >= 0.1).astype(float)
-    completed = fill_missing_weighted(x * mask, mask, 1)
-    # observed entries pass through untouched
-    np.testing.assert_array_equal(completed[mask == 1], x[mask == 1])
-    missing = mask == 0
-    rel = np.abs(completed[missing] - x[missing]) / x[missing]
-    assert rel.max() <= 1e-2
-    assert completed.min() >= 0
-
-
-def test_fill_weighted_zero_observed_row(caplog):
-    rng = np.random.default_rng(15)
-    x = rng.random((4, 6)) + 0.5
-    mask = np.ones_like(x)
-    mask[2, :] = 0.0
-    with caplog.at_level(logging.WARNING, logger="ttnmf.training"):
-        completed = fill_missing_weighted(x * mask, mask, 2)
-    assert not completed[2, :].any()
-    assert any("no" in rec.message and "observation" in rec.message
-               for rec in caplog.records)
-
-
 # ------------------------------------------------------------------- train
 
 def test_train_trace_monotone_and_factors_nonneg():
@@ -646,19 +609,18 @@ def test_train_without_penalties_is_plain_nmf():
 
 
 def test_train_em_mask_and_weighted_fill_run():
+    # a gappy mask trains by EM imputation, the one path for missing data
     scen = generate_synthetic(n_routers=4, planted_rank=2, n_timestamps=60,
                               planted_lags=LagSet([1]), noise_level=0.0,
                               seed=20)
     rng = np.random.default_rng(0)
     mask = (rng.random(scen.traffic.entries.shape) >= 0.2).astype(float)
     gappy = TrafficMatrix(scen.traffic.entries * mask, mask=mask)
-    for mode in ("em_mask", "weighted_fill"):
-        cfg = TrainConfig(rank=2, lag_set=LagSet([1]), q_max=10,
-                          missing_mode=mode)
-        model, report = train(gappy, scen.routing, cfg)
-        trace = np.array(report.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-12), mode
-        assert np.isfinite(model.latent).all()
+    cfg = TrainConfig(rank=2, lag_set=LagSet([1]), q_max=10)
+    model, report = train(gappy, scen.routing, cfg)
+    trace = np.array(report.objective_trace)
+    assert np.all(np.diff(trace) <= 1e-12)
+    assert np.isfinite(model.latent).all()
 
 
 def _stopped_at_relative_drop(report, delta):
@@ -760,7 +722,7 @@ def test_train_em_mask_stops_before_q_max():
     x = scen.traffic.entries[:, :300]
     rng = np.random.default_rng(104)
     mask = (rng.random(x.shape) >= 0.2).astype(float)
-    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)), missing_mode="em_mask")
+    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)))
     _, report = train(TrafficMatrix(x * mask, mask=mask), scen.routing, cfg)
     assert report.stop_reason == "converged"
     assert report.n_iterations < cfg.q_max
@@ -787,19 +749,43 @@ def test_train_validates_inputs():
         train(x, np.ones((4, 6)), TrainConfig(rank=2, lag_set=LagSet([25])))
 
 
-def test_train_rejects_gappy_mask_without_missing_mode():
-    # missing_mode "none" would fit the unobserved cells as if they were data
+def test_train_never_reads_unobserved_cells():
+    # the unobserved cells at 0 and at 1e6 give the same factors and traces
     rng = np.random.default_rng(24)
+    x = rng.random((6, 20))
+    routing = (rng.random((4, 6)) < 0.5).astype(float)
+    mask = (rng.random(x.shape) >= 0.2).astype(float)
+    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]), q_max=8)
+    runs = [train(TrafficMatrix(np.where(mask == 1.0, x, fill), mask=mask),
+                  routing, cfg) for fill in (0.0, 1e6)]
+    (m0, r0), (m1, r1) = runs
+    for name in ("spatial", "latent", "ar_weights"):
+        np.testing.assert_array_equal(getattr(m0, name), getattr(m1, name))
+    assert m0.weights == m1.weights
+    for name in ("objective_trace", "penalized_trace", "temporal_trace",
+                 "ortho_trace", "block_iteration_counts"):
+        assert getattr(r0, name) == getattr(r1, name), name
+    # a mask that observes every cell trains as no mask
+    full, _ = train(TrafficMatrix(x, mask=np.ones_like(x)), routing, cfg)
+    plain, _ = train(x, routing, cfg)
+    np.testing.assert_array_equal(full.latent, plain.latent)
+
+
+def test_train_rejects_non_finite_cells():
+    # a non-finite cell, observed or not, is a validation error of the input
+    # and not a failed SVD of the seed
+    rng = np.random.default_rng(25)
     x = rng.random((6, 20))
     routing = (rng.random((4, 6)) < 0.5).astype(float)
     mask = np.ones_like(x)
     mask[2, 5] = 0.0
-    with pytest.raises(ConfigError, match="em_mask.*weighted_fill"):
-        train(TrafficMatrix(x * mask, mask=mask), routing, TrainConfig(rank=2))
-    # a mask that observes every cell needs no missing mode
-    model, _ = train(TrafficMatrix(x, mask=np.ones_like(x)), routing,
-                     TrainConfig(rank=2, q_max=3))
-    assert model.n_flows == 6
+    for value in (np.nan, np.inf):
+        bad = x.copy()
+        bad[2, 5] = value
+        with pytest.raises(ValidationError, match=r"cell \(3,6\)"):
+            train(bad, routing, TrainConfig(rank=2, q_max=3))
+        with pytest.raises(ValidationError, match=r"cell \(3,6\)"):
+            TrafficMatrix(bad, mask=mask)
 
 
 def test_train_raises_numerical_failure_on_nonfinite_block(monkeypatch):
