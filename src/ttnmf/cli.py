@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio
 from .errors import (ConfigError, NumericalFailure, ParseError, ShapeError,
                      UsageError, ValidationError)
 from .estimation import EstimatorConfig, estimate_od_flows
@@ -55,7 +54,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The ttnmf parser and its subcommand parsers by name.
+
+    Each setting is declared once, as a flag with its type and built-in
+    default; the training and estimation defaults are those of their config
+    classes.  A config key or profile entry names the flag's dest.
+    """
     parser = _Parser(prog="ttnmf",
                      description="OD traffic estimation from link loads",
                      epilog="CSV orientation (headerless, '#' comments "
@@ -64,95 +69,84 @@ def _build_parser() -> _Parser:
                             "linkflows.csv links x timestamps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic scenario")
-    common(p)
-    p.add_argument("--routers", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--T", dest="n_timestamps", type=int)
-    p.add_argument("--lags")
-    p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int)
+    p = command("synth", "generate a synthetic scenario")
+    p.add_argument("--routers", type=int, default=6)
+    p.add_argument("--rank", type=int, default=4)
+    p.add_argument("--T", dest="n_timestamps", type=int, default=400)
+    p.add_argument("--lags", default="1,2")
+    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", type=int)
-    p.add_argument("--mask-fraction", dest="mask_fraction", type=float)
+    p.add_argument("--mask-fraction", dest="mask_fraction", type=float,
+                   default=0.0)
 
-    p = sub.add_parser("train", help="fit a factor model to traffic data")
-    common(p)
+    p = command("train", "fit a factor model to traffic data")
     p.add_argument("--routing")
     p.add_argument("--traffic")
     p.add_argument("--mask")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--lags")
-    p.add_argument("--beta-h", dest="beta_h", type=float)
-    p.add_argument("--beta-a", dest="beta_a", type=float)
-    p.add_argument("--q-max", dest="q_max", type=int)
+    p.add_argument("--rank", type=int, default=4)
+    p.add_argument("--lags", default="")
+    p.add_argument("--beta-h", dest="beta_h", type=float,
+                   default=TrainConfig.beta_temporal)
+    p.add_argument("--beta-a", dest="beta_a", type=float,
+                   default=TrainConfig.beta_ortho)
+    p.add_argument("--q-max", dest="q_max", type=int,
+                   default=TrainConfig.q_max)
     p.add_argument("--split", type=int)
     p.add_argument("--profile", choices=tuple(PROFILES))
 
-    p = sub.add_parser("estimate", help="estimate OD flows from link flows")
-    common(p)
+    p = command("estimate", "estimate OD flows from link flows")
     p.add_argument("--model")
     p.add_argument("--linkflows")
-    p.add_argument("--r-max-em", dest="r_max_em", type=int)
-    p.add_argument("--delta-em", dest="delta_em", type=float)
+    p.add_argument("--r-max-em", dest="r_max_em", type=int,
+                   default=EstimatorConfig.r_max_em)
+    p.add_argument("--delta-em", dest="delta_em", type=float,
+                   default=EstimatorConfig.delta_em)
 
-    p = sub.add_parser("evaluate", help="compare estimated and true OD flows")
-    common(p)
+    p = command("evaluate", "compare estimated and true OD flows")
     p.add_argument("--true", dest="true_path")
     p.add_argument("--est", dest="est_path")
-    return parser
+    return parser, sub.choices
 
 
-# the training and estimation defaults are those of their config classes
-_DEFAULTS = {
-    "routers": 6, "rank": 4, "n_timestamps": 400, "lags": "1,2",
-    "noise": 0.05, "seed": 0, "split": None, "mask_fraction": 0.0,
-    "beta_h": TrainConfig.beta_temporal, "beta_a": TrainConfig.beta_ortho,
-    "q_max": TrainConfig.q_max, "r_max_em": EstimatorConfig.r_max_em,
-    "delta_em": EstimatorConfig.delta_em,
-}
+def _parse_args(argv) -> argparse.Namespace:
+    """Flag > config file > profile > built-in default.
 
-_CASTS = {
-    "routers": int, "rank": int, "n_timestamps": int, "seed": int,
-    "split": int, "q_max": int, "r_max_em": int,
-    "noise": float, "mask_fraction": float, "beta_h": float, "beta_a": float,
-    "delta_em": float,
-}
-
-
-def _setting(args, cfg, profile, key, required=False):
-    """Flag > config file > profile > built-in default."""
-    value = getattr(args, key, None)
-    if value is None and key in cfg:
-        cast = _CASTS.get(key, str)
-        try:
-            value = cast(cfg[key])
-        except ValueError:
-            raise ConfigError(
-                f"config key {key}={cfg[key]!r} is not a valid "
-                f"{cast.__name__}") from None
-    if value is None:
-        value = profile.get(key)
-    if value is None:
-        value = _DEFAULTS.get(key)
-    if value is None and required:
-        raise ConfigError(f"missing required setting {key!r}")
-    return value
+    A first parse finds --config and --profile; the config keys and the
+    profile's entries then become the subcommand's defaults, and a second
+    parse casts each config value with its flag's type.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    cfg = _load_config(args.config, commands) if args.config else {}
+    profile = {}
+    if hasattr(args, "profile"):  # a subcommand without --profile has none
+        name = args.profile or cfg.get("profile") or "none"
+        if name not in PROFILES:
+            raise ConfigError(f"unknown profile {name!r}")
+        profile = PROFILES[name]
+    commands[args.command].set_defaults(**{**profile, **cfg})
+    try:
+        return parser.parse_args(argv)
+    except UsageError as exc:
+        # the flags parsed once already, so a config value is at fault
+        raise ConfigError(f"config file {args.config}: {exc}") from None
 
 
-def _load_config(args) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        path = _require_file(args.config, "config")
-        cfg = parse_config_file(path)
-        known = set(_CASTS) | {"lags", "routing", "traffic", "mask", "model",
-                               "linkflows", "true_path", "est_path", "profile"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+def _load_config(path, commands) -> dict:
+    """The config file's keys, each a setting of some subcommand: one file
+    may hold the keys of several."""
+    cfg = parse_config_file(_require_file(path, "config"))
+    keys = {a.dest for p in commands.values() for a in p._actions}
+    unknown = set(cfg) - (keys - {"help", "config", "out"})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
@@ -197,27 +191,24 @@ def _text_replaced_on_success(path: Path):
 
 
 def _cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    get = lambda key: _setting(args, cfg, {}, key)
-    lag_set = LagSet.from_text(get("lags"))
-    frac = get("mask_fraction")
+    lag_set = LagSet.from_text(args.lags)
+    frac = args.mask_fraction
     if not 0 <= frac < 1:
         raise ConfigError(f"mask fraction must lie in [0, 1), got {frac}")
     scenario = generate_synthetic(
-        n_routers=get("routers"), planted_rank=get("rank"),
-        n_timestamps=get("n_timestamps"), planted_lags=lag_set,
-        noise_level=get("noise"), seed=get("seed"))
+        n_routers=args.routers, planted_rank=args.rank,
+        n_timestamps=args.n_timestamps, planted_lags=lag_set,
+        noise_level=args.noise, seed=args.seed)
     links = compute_link_flows(scenario.routing, scenario.traffic)
     outputs = {"routing.csv": scenario.routing.entries,
                "traffic.csv": scenario.traffic.entries,
                "linkflows.csv": links.entries}
     if frac:
-        rng = np.random.default_rng([get("seed"), 1])
+        rng = np.random.default_rng([args.seed, 1])
         outputs["mask.csv"] = (
             rng.random(scenario.traffic.entries.shape) >= frac) * 1.0
-    split = get("split")
-    if split is not None:
-        train_part, test_part = split_train_test(scenario.traffic, split)
+    if args.split is not None:
+        train_part, test_part = split_train_test(scenario.traffic, args.split)
         outputs["traffic_train.csv"] = train_part.entries
         outputs["traffic_test.csv"] = test_part.entries
         outputs["linkflows_test.csv"] = compute_link_flows(
@@ -234,22 +225,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args)
-    profile_name = args.profile or cfg.get("profile") or "none"
-    if profile_name not in PROFILES:
-        raise ConfigError(f"unknown profile {profile_name!r}")
-    profile = PROFILES[profile_name]
-    get = lambda key, **kw: _setting(args, cfg, profile, key, **kw)
-
-    routing_path = _require_file(args.routing or cfg.get("routing"), "routing")
-    traffic_path = _require_file(args.traffic or cfg.get("traffic"), "traffic")
+    routing_path = _require_file(args.routing, "routing")
+    traffic_path = _require_file(args.traffic, "traffic")
     routing = RoutingMatrix(load_matrix_csv(routing_path, "routing"))
     entries = load_matrix_csv(traffic_path, "traffic")
     mask = None
-    mask_arg = args.mask or cfg.get("mask")
-    if mask_arg:
-        mask = load_matrix_csv(_require_file(mask_arg, "mask"), "mask")
-    split = get("split")
+    if args.mask:
+        mask = load_matrix_csv(_require_file(args.mask, "mask"), "mask")
+    split = args.split
     if split is not None:
         if not 0 < split <= entries.shape[1]:
             raise ConfigError(
@@ -259,14 +242,9 @@ def _cmd_train(args) -> int:
             mask = mask[:, :split]
     traffic = TrafficMatrix(entries, mask=mask)
 
-    lag_text = args.lags if args.lags is not None else cfg.get("lags")
-    if lag_text is None:
-        lag_text = profile.get("lags", "")
-    lag_set = LagSet.from_text(lag_text)
     config = TrainConfig(
-        rank=get("rank"), lag_set=lag_set,
-        beta_temporal=get("beta_h"), beta_ortho=get("beta_a"),
-        q_max=get("q_max"))
+        rank=args.rank, lag_set=LagSet.from_text(args.lags),
+        beta_temporal=args.beta_h, beta_ortho=args.beta_a, q_max=args.q_max)
     model, report = train(traffic, routing, config)
 
     out = _outdir(args)
@@ -301,19 +279,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cfg = _load_config(args)
-    get = lambda key: _setting(args, cfg, {}, key)
-    model_path = _require_file(args.model or cfg.get("model"), "model")
-    link_path = _require_file(args.linkflows or cfg.get("linkflows"),
-                              "linkflows")
+    model_path = _require_file(args.model, "model")
+    link_path = _require_file(args.linkflows, "linkflows")
     archive = load_model(model_path)
     links = load_matrix_csv(link_path, "link")
     if links.shape[0] != archive.routing.n_links:
         raise ShapeError(
             f"link-flow matrix has {links.shape[0]} rows but the model was "
             f"trained with {archive.routing.n_links} links")
-    config = EstimatorConfig(r_max_em=get("r_max_em"),
-                             delta_em=get("delta_em"))
+    config = EstimatorConfig(r_max_em=args.r_max_em, delta_em=args.delta_em)
     estimates = estimate_od_flows(links, archive.model, archive.routing, config)
     out = _outdir(args)
     with _replaced_on_success(out / "estimated.csv") as tmp:
@@ -323,11 +297,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    true_path = _require_file(args.true_path or cfg.get("true_path"),
-                              "true OD matrix")
-    est_path = _require_file(args.est_path or cfg.get("est_path"),
-                             "estimated OD matrix")
+    true_path = _require_file(args.true_path, "true OD matrix")
+    est_path = _require_file(args.est_path, "estimated OD matrix")
     x_true = load_matrix_csv(true_path, "traffic")
     x_est = load_matrix_csv(est_path, "traffic")
     if x_true.shape != x_est.shape:
@@ -409,9 +380,8 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=_LOG_LEVELS[level_name],
                         format="%(levelname)s %(name)s: %(message)s")
     _pin_blas_threads()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return _COMMANDS[args.command](args)
     except (UsageError, ConfigError) as exc:
         print(f"ttnmf: {exc}", file=sys.stderr)

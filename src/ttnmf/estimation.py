@@ -10,6 +10,7 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure, ShapeError
 from .factors import (FactorModel, LagSet, routing_array,
                       temporal_penalty_value)
+from .network import LinkFlowMatrix
 from .training import _latent_block, _nesterov_loop
 
 logger = logging.getLogger(__name__)
@@ -170,9 +171,10 @@ def estimate_od_flows(link_flows, model: FactorModel, routing,
                       config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     """The latent window fit, then EM refinement of W H, for links x T.
 
-    Raises NumericalFailure if an estimate is not finite.
+    Raises ValidationError naming the first negative or non-finite link-flow
+    cell, and NumericalFailure if an estimate is not finite.
     """
-    y = np.asarray(getattr(link_flows, "entries", link_flows), dtype=float)
+    y = LinkFlowMatrix(getattr(link_flows, "entries", link_flows)).entries
     x = refine_em(model.spatial @ estimate_latent(y, model), y, routing,
                   config)
     bad = ~np.isfinite(x).all(axis=0)

@@ -237,6 +237,8 @@ def generate_synthetic(n_routers: int, planted_rank: int, n_timestamps: int,
     if not 0.0 <= noise_level < np.inf:
         raise ConfigError(
             f"noise level must be finite and >= 0, got {noise_level}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     edges = _random_connected_graph(n_routers, rng)

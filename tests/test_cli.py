@@ -61,9 +61,9 @@ def test_synth_bad_mask_fraction(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [["--mask-fraction", "1.5"],
-                                   ["--split", "80"]])
+                                   ["--split", "80"], ["--seed", "-1"]])
 def test_synth_bad_setting_writes_nothing(tmp_path, capsys, extra):
-    # both settings are checked before the first file is written
+    # each setting is checked before the first file is written
     out = tmp_path / "d"
     out.mkdir()
     assert _synth(out, *extra) == 1
@@ -384,11 +384,74 @@ def test_removed_estimator_knob_exits_1(tmp_path, capsys, key):
 
 
 def test_bad_config_value_exits_1(tmp_path, capsys):
+    # the config value is cast by its flag's type; the message names both
+    # the file and the flag
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rank=four\n")
     assert main(["synth", "--out", str(tmp_path / "d"),
                  "--config", str(cfg)]) == 1
-    assert "rank" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"ttnmf: config file {cfg}: argument --rank: invalid int value: "
+        "'four'\n")
+    assert not (tmp_path / "d").exists()
+
+
+def _settings():
+    """(subcommand, flag, dest, sample value) of every setting that a
+    config key can give, read from the parser itself."""
+    samples = {int: "3", float: "0.25", None: "some/file.csv"}
+    _, commands = cli._build_parser()
+    return [(name, action.option_strings[0], action.dest,
+             action.choices[0] if action.choices else samples[action.type])
+            for name, parser in commands.items()
+            for action in parser._actions
+            if action.dest not in ("help", "config", "out")]
+
+
+@pytest.mark.parametrize("command,flag,key,value", _settings(), ids=str)
+def test_config_key_parses_as_its_flag(tmp_path, command, flag, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    out = [command, "--out", str(tmp_path / "o")]
+    by_flag = vars(cli._parse_args(out + [flag, value]))
+    by_config = vars(cli._parse_args(out + ["--config", str(cfg)]))
+    assert by_flag.pop("config") is None
+    assert by_config.pop("config") == str(cfg)
+    assert by_config == by_flag
+    assert ({k: type(v) for k, v in by_config.items()}
+            == {k: type(v) for k, v in by_flag.items()})
+
+
+def test_config_beats_profile_and_flag_beats_both(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile=geant\nrank=5\nbeta_h=0.3\n")
+    train = ["train", "--out", str(tmp_path / "o"), "--config", str(cfg)]
+    args = cli._parse_args(train)
+    assert (args.rank, args.beta_h, args.beta_a) == (5, 0.3, 0.1)
+    assert args.lags == cli.PROFILES["geant"]["lags"]
+    args = cli._parse_args(train + ["--profile", "internet2", "--rank", "3"])
+    assert (args.rank, args.beta_h, args.beta_a) == (3, 0.3, 0.2)
+    assert args.lags == cli.PROFILES["internet2"]["lags"]
+    args = cli._parse_args(train + ["--lags", "1", "--beta-h", "0"])
+    assert (args.rank, args.beta_h, args.lags) == (5, 0.0, "1")
+
+
+def test_one_config_file_drives_the_pipeline(tmp_path):
+    # a train config may hold the keys of estimate and evaluate too
+    data, run = tmp_path / "data", tmp_path / "run"
+    _synth(data, "--split", "40")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"routing={data / 'routing.csv'}\ntraffic={data / 'traffic.csv'}\n"
+        "split=40\nrank=2\nlags=1,2\nq_max=3\n"
+        f"model={run / 'model.ttnmf'}\n"
+        f"linkflows={data / 'linkflows_test.csv'}\nr_max_em=5\n"
+        f"true_path={data / 'traffic_test.csv'}\n"
+        f"est_path={run / 'estimated.csv'}\n")
+    for command in ("train", "estimate", "evaluate"):
+        assert main([command, "--out", str(run), "--config", str(cfg)]) == 0
+    assert load_model(run / "model.ttnmf").model.rank == 2
+    assert (run / "stats.csv").exists()
 
 
 def test_profile_sets_lags_with_flag_override(tmp_path):

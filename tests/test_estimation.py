@@ -14,7 +14,8 @@ Covers:
     against a grid-search oracle, scale equivariance, zero-column skip,
     denominator floor logging, byte identity and the same log lines as the
     gather-and-scatter reference loop, inputs left unchanged
-  - end-to-end column estimation: consistency, nonnegativity, batch shape
+  - end-to-end column estimation: consistency, nonnegativity, batch shape,
+    negative and non-finite link flows refused with the cell named
 """
 
 import itertools
@@ -26,7 +27,7 @@ import pytest
 import scipy.optimize
 
 import ttnmf.estimation as estimation
-from ttnmf.errors import ConfigError, ShapeError
+from ttnmf.errors import ConfigError, ShapeError, ValidationError
 from ttnmf.estimation import (WINDOW_ITERS, WINDOW_NOISE, EstimatorConfig,
                               _scaled_block, estimate_latent,
                               estimate_od_flow, estimate_od_flows, refine_em)
@@ -608,6 +609,28 @@ def test_od_flows_batch_matches_columnwise():
         for t in range(T):
             column = estimate_od_flow(y[:, t], model, routing)
             np.testing.assert_allclose(batch[:, t], column, rtol=1e-12)
+
+
+@pytest.mark.parametrize("value,message", [
+    (np.nan, "link flows must be finite; cell (2,3) is nan"),
+    (np.inf, "link flows must be finite; cell (2,3) is inf"),
+    (-0.5, "link flows must be >= 0; cell (2,3) is -0.5")])
+def test_od_flows_refuse_a_bad_link_flow_cell(value, message):
+    # a negative link flow would give negative OD estimates, and a NaN one
+    # non-finite estimates
+    from ttnmf.network import LinkFlowMatrix
+    rng = np.random.default_rng(8)
+    m, n, k = 5, 8, 3
+    routing = (rng.random((m, n)) < 0.5).astype(float)
+    model = FactorModel.from_factors(rng.random((n, k)), rng.random((k, 4)),
+                                     np.zeros((k, 0)), LagSet(), routing)
+    y = rng.random((m, 4))
+    assert estimate_od_flows(LinkFlowMatrix(y), model, routing).min() >= 0
+    y[1, 2] = value
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        estimate_od_flows(y, model, routing)
+    with pytest.raises(ValidationError, match="link flows"):
+        estimate_od_flow(y[:, 2], model, routing)
 
 
 def test_od_flow_held_out_timestamp_meets_frozen_bound():

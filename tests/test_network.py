@@ -203,3 +203,5 @@ def test_generator_validates_arguments():
         generate_synthetic(4, 2, 2, LagSet([2]), 0.0, 0)
     with pytest.raises(ConfigError):
         generate_synthetic(4, 2, 30, LagSet([1]), -0.1, 0)
+    with pytest.raises(ConfigError, match="seed"):
+        generate_synthetic(4, 2, 30, LagSet([1]), 0.0, -1)
