@@ -1,6 +1,7 @@
 """Command-line pipeline: synth, train, estimate, evaluate.
 
-Exit codes: 0 success, 1 usage/config, 2 data validation, 3 numerical failure.
+Exit codes: 0 success, 1 usage/config or a file that cannot be opened,
+2 data validation, 3 numerical failure.
 TTNMF_LOG={error,warn,info,debug} controls diagnostics on stderr.
 """
 
@@ -372,6 +373,12 @@ _COMMANDS = {"synth": _cmd_synth, "train": _cmd_train,
              "estimate": _cmd_estimate, "evaluate": _cmd_evaluate}
 
 
+# exit code of each error reported in one line; an OSError is a path that
+# cannot be opened, such as an output name too long for the file system
+_EXIT_CODES = {UsageError: 1, ConfigError: 1, OSError: 1, ParseError: 2,
+               ValidationError: 2, ShapeError: 2, NumericalFailure: 3}
+
+
 def main(argv=None) -> int:
     level_name = os.environ.get("TTNMF_LOG", "warn").lower()
     if level_name not in _LOG_LEVELS:
@@ -383,15 +390,10 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"ttnmf: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ValidationError, ShapeError) as exc:
-        print(f"ttnmf: {exc}", file=sys.stderr)
-        return 2
-    except NumericalFailure as exc:
-        print(f"ttnmf: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 def run():

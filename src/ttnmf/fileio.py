@@ -95,20 +95,14 @@ def load_matrix_csv(path, expected_kind: str) -> np.ndarray:
         i, j = np.argwhere(~np.isfinite(arr))[0]
         raise ValidationError(
             f"{path}: non-finite value at cell ({i + 1},{j + 1})")
-    if expected_kind in ("routing", "mask"):
-        bad = np.argwhere((arr != 0.0) & (arr != 1.0))
-        if len(bad):
-            cells = ", ".join(f"({i + 1},{j + 1})" for i, j in bad[:10])
-            raise ValidationError(
-                f"{path}: {expected_kind} entries must be 0 or 1; offending "
-                f"cells: {cells}")
-    else:
-        bad = np.argwhere(arr < 0)
-        if len(bad):
-            cells = ", ".join(f"({i + 1},{j + 1})" for i, j in bad[:10])
-            raise ValidationError(
-                f"{path}: {expected_kind} entries must be >= 0; offending "
-                f"cells: {cells}")
+    binary = expected_kind in ("routing", "mask")
+    bad = np.argwhere((arr != 0.0) & (arr != 1.0) if binary else arr < 0)
+    if len(bad):
+        cells = ", ".join(f"({i + 1},{j + 1})" for i, j in bad[:10])
+        rule = "0 or 1" if binary else ">= 0"
+        raise ValidationError(
+            f"{path}: {expected_kind} entries must be {rule}; offending "
+            f"cells: {cells}")
     return arr
 
 

@@ -47,30 +47,25 @@ def init_factors_svd(x, rank: int):
     n, T = x.shape
     if not 1 <= rank <= min(n, T):
         raise ConfigError(f"rank must lie in [1, {min(n, T)}], got {rank}")
-    spatial = np.zeros((n, rank))
-    latent = np.zeros((rank, T))
     if not x.any():
-        return spatial, latent
+        return np.zeros((n, rank)), np.zeros((rank, T))
 
     u, s, vt = _leading_svd(x, rank)
-    for i in range(rank):
-        j = int(np.argmax(np.abs(u[:, i])))
-        if u[j, i] < 0:
-            u[:, i] = -u[:, i]
-            vt[i, :] = -vt[i, :]
-
-    spatial[:, 0] = np.sqrt(s[0]) * np.abs(u[:, 0])
-    latent[0, :] = np.sqrt(s[0]) * np.abs(vt[0, :])
-    for i in range(1, rank):
-        up, un = np.maximum(u[:, i], 0.0), np.maximum(-u[:, i], 0.0)
-        vp, vn = np.maximum(vt[i, :], 0.0), np.maximum(-vt[i, :], 0.0)
-        if np.linalg.norm(up) * np.linalg.norm(vp) >= \
-                np.linalg.norm(un) * np.linalg.norm(vn):
-            cu, cv = up, vp
-        else:
-            cu, cv = un, vn
-        spatial[:, i] = np.sqrt(s[i]) * cu
-        latent[i, :] = np.sqrt(s[i]) * cv
+    sign = np.where(u[np.abs(u).argmax(axis=0), np.arange(rank)] < 0, -1.0, 1.0)
+    # C order, so that spatial and latent come out C-contiguous
+    u = np.ascontiguousarray(u * sign)
+    vt = np.ascontiguousarray(vt * sign[:, None])
+    up, un = np.maximum(u, 0.0), np.maximum(-u, 0.0)
+    vp, vn = np.maximum(vt, 0.0), np.maximum(-vt, 0.0)
+    positive = (np.linalg.norm(up, axis=0) * np.linalg.norm(vp, axis=1)
+                >= np.linalg.norm(un, axis=0) * np.linalg.norm(vn, axis=1))
+    root = np.sqrt(s)
+    spatial = root * np.where(positive, up, un)
+    latent = root[:, None] * np.where(positive[:, None], vp, vn)
+    # free the parts before W H, the largest array of the seed, is formed
+    del up, un, vp, vn
+    spatial[:, 0] = root[0] * np.abs(u[:, 0])
+    latent[0] = root[0] * np.abs(vt[0])
 
     product = spatial @ latent
     denom = float(np.vdot(product, product))
@@ -89,17 +84,11 @@ def init_lag_weights(latent, lag_set: LagSet) -> np.ndarray:
     latent = np.asarray(latent, dtype=float)
     if latent.ndim != 2:
         raise ShapeError("latent must be 2-D")
-    k, T = latent.shape
-    weights = np.zeros((k, len(lag_set)))
+    weights = np.zeros((latent.shape[0], len(lag_set)))
     if len(lag_set) == 0:
         return weights
-    if lag_set.max_lag >= T:
-        raise ConfigError(
-            f"max lag {lag_set.max_lag} must be < number of timestamps {T}")
-    for p in range(k):
-        design = lag_designs(latent[p:p + 1], lag_set)[0]
-        if not design.any():
-            continue
-        weights[p] = np.maximum(latent[p] @ np.linalg.pinv(design, rcond=1e-12),
-                                0.0)
+    for p, row in enumerate(latent):
+        # an all-zero design has the zero pseudoinverse, so zero weights
+        design = lag_designs(row[None], lag_set)[0]
+        weights[p] = np.maximum(row @ np.linalg.pinv(design, rcond=1e-12), 0.0)
     return weights

@@ -13,6 +13,15 @@ from .factors import LagSet
 logger = logging.getLogger(__name__)
 
 
+def _require_cells(bad, arr, rule):
+    """Raise ValidationError with rule, naming the first cell of arr that
+    the boolean array bad marks, and its value."""
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"{rule}; cell ({i + 1},{j + 1}) is {float(arr[i, j])}")
+
+
 @dataclass(frozen=True)
 class RoutingMatrix:
     """Binary link-by-OD-pair incidence matrix."""
@@ -23,12 +32,8 @@ class RoutingMatrix:
         arr = np.ascontiguousarray(self.entries, dtype=float)
         if arr.ndim != 2:
             raise ShapeError("routing matrix must be 2-D")
-        bad = (arr != 0.0) & (arr != 1.0)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"routing entries must be 0 or 1; cell ({i + 1},{j + 1}) is "
-                f"{float(arr[i, j])}")
+        _require_cells((arr != 0.0) & (arr != 1.0), arr,
+                       "routing entries must be 0 or 1")
         empty = int((arr.sum(axis=0) == 0).sum())
         if empty:
             logger.warning("routing matrix has %d all-zero columns "
@@ -44,16 +49,6 @@ class RoutingMatrix:
         return self.entries.shape[1]
 
 
-def _require_finite(arr, what):
-    """Raise ValidationError naming the first non-finite cell of arr."""
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValidationError(
-            f"{what} must be finite; cell ({i + 1},{j + 1}) is "
-            f"{float(arr[i, j])}")
-
-
 @dataclass(frozen=True)
 class TrafficMatrix:
     """OD flows over time; `mask` marks observed entries (1) when data has gaps."""
@@ -66,28 +61,20 @@ class TrafficMatrix:
         arr = np.ascontiguousarray(self.entries, dtype=float)
         if arr.ndim != 2:
             raise ShapeError("traffic matrix must be 2-D")
-        _require_finite(arr, "traffic")
+        _require_cells(~np.isfinite(arr), arr, "traffic must be finite")
         mask = self.mask
         if mask is not None:
             mask = np.ascontiguousarray(mask, dtype=float)
             if mask.shape != arr.shape:
                 raise ShapeError(
                     f"mask shape {mask.shape} != traffic shape {arr.shape}")
-            bad = (mask != 0.0) & (mask != 1.0)
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise ValidationError(
-                    f"mask entries must be 0 or 1; cell ({i + 1},{j + 1}) is "
-                    f"{float(mask[i, j])}")
+            _require_cells((mask != 0.0) & (mask != 1.0), mask,
+                           "mask entries must be 0 or 1")
             observed = mask == 1.0
         else:
             observed = np.ones(arr.shape, dtype=bool)
-        bad = (arr < 0) & observed
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"observed traffic must be >= 0; cell ({i + 1},{j + 1}) is "
-                f"{float(arr[i, j])}")
+        _require_cells((arr < 0) & observed, arr,
+                       "observed traffic must be >= 0")
         ts = self.timestamps
         if ts is None:
             ts = np.arange(arr.shape[1])
@@ -118,12 +105,8 @@ class LinkFlowMatrix:
         arr = np.ascontiguousarray(self.entries, dtype=float)
         if arr.ndim != 2:
             raise ShapeError("link-flow matrix must be 2-D")
-        _require_finite(arr, "link flows")
-        if arr.size and arr.min() < 0:
-            i, j = np.argwhere(arr < 0)[0]
-            raise ValidationError(
-                f"link flows must be >= 0; cell ({i + 1},{j + 1}) is "
-                f"{float(arr[i, j])}")
+        _require_cells(~np.isfinite(arr), arr, "link flows must be finite")
+        _require_cells(arr < 0, arr, "link flows must be >= 0")
         object.__setattr__(self, "entries", arr)
 
     @property

@@ -401,8 +401,6 @@ def train(traffic, routing, config: TrainConfig):
     a = routing_array(routing)
     if a.shape[1] != n:
         raise ShapeError(f"routing has {a.shape[1]} columns, traffic has {n} rows")
-    if not 1 <= config.rank <= min(n, T):
-        raise ConfigError(f"rank must lie in [1, {min(n, T)}], got {config.rank}")
     if len(config.lag_set) > 0 and config.lag_set.max_lag >= T:
         raise ConfigError(
             f"max lag {config.lag_set.max_lag} must be < training length {T}")

@@ -1,6 +1,7 @@
 """Command-line workflow: synth, train, estimate, evaluate."""
 
 import ctypes
+import errno
 import os
 import re
 import struct
@@ -650,6 +651,31 @@ def test_out_naming_a_file_exits_1(tmp_path, capsys):
     assert t.read_text() == "1\n"
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "estimate", "evaluate"])
+def test_out_name_too_long_exits_1(tmp_path, capsys, command):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert _synth(data, "--split", "40") == 0
+    assert _train(data, run) == 0
+    capsys.readouterr()
+    out = tmp_path / ("o" * 300)
+    argv = {
+        "synth": lambda: _synth(out),
+        "train": lambda: _train(data, out),
+        "estimate": lambda: main([
+            "estimate", "--out", str(out), "--model", str(run / "model.ttnmf"),
+            "--linkflows", str(data / "linkflows_test.csv")]),
+        "evaluate": lambda: main([
+            "evaluate", "--out", str(out),
+            "--true", str(data / "traffic_test.csv"),
+            "--est", str(data / "traffic_test.csv")]),
+    }
+    assert argv[command]() == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ttnmf: [Errno {errno.ENAMETOOLONG}] ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run"]
+
+
 def test_nonfinite_estimate_exits_3(tmp_path, capsys, monkeypatch):
     import ttnmf.estimation
     from ttnmf import write_matrix_csv
@@ -673,7 +699,8 @@ def test_nonfinite_estimate_exits_3(tmp_path, capsys, monkeypatch):
     assert not (out / "estimated.csv").exists()
 
 
-def test_failed_train_write_leaves_previous_outputs(tmp_path, monkeypatch):
+def test_failed_train_write_leaves_previous_outputs(tmp_path, monkeypatch,
+                                                    capsys):
     import ttnmf.cli
     data, out = tmp_path / "data", tmp_path / "run"
     _synth(data)
@@ -687,8 +714,9 @@ def test_failed_train_write_leaves_previous_outputs(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(ttnmf.cli, "save_model", failing_save)
-    with pytest.raises(OSError, match="disk full"):
-        _train(data, out)
+    capsys.readouterr()
+    assert _train(data, out) == 1
+    assert capsys.readouterr().err == "ttnmf: disk full\n"
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert after == before
 
@@ -714,7 +742,8 @@ def _failing_write(path, matrix):
     raise OSError("disk full")
 
 
-def test_failed_estimate_write_leaves_previous_estimate(tmp_path, monkeypatch):
+def test_failed_estimate_write_leaves_previous_estimate(tmp_path, monkeypatch,
+                                                        capsys):
     import ttnmf.cli
     data, out = tmp_path / "data", tmp_path / "run"
     _synth(data)
@@ -724,14 +753,15 @@ def test_failed_estimate_write_leaves_previous_estimate(tmp_path, monkeypatch):
     assert main(argv) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     monkeypatch.setattr(ttnmf.cli, "write_matrix_csv", _failing_write)
-    with pytest.raises(OSError, match="disk full"):
-        main(argv)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "ttnmf: disk full\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("failing", ["write_matrix_csv", "cdf_points"])
 def test_failed_evaluate_write_leaves_previous_outputs(tmp_path, monkeypatch,
-                                                       failing):
+                                                       capsys, failing):
     import ttnmf.cli
     from ttnmf import write_matrix_csv
     data, out = tmp_path / "data", tmp_path / "run"
@@ -751,6 +781,7 @@ def test_failed_evaluate_write_leaves_previous_outputs(tmp_path, monkeypatch,
 
     monkeypatch.setattr(ttnmf.cli, failing, _failing_write
                         if failing == "write_matrix_csv" else failing_cdf)
-    with pytest.raises(OSError, match="disk full"):
-        main(argv)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "ttnmf: disk full\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -7,6 +7,8 @@ Covers:
   - beats a mean-scaled all-ones baseline on random data
   - the Gram-eigenvector triplets and the seed against np.linalg.svd, wide
     and tall; rank above the numerical rank
+  - the whole-array sign fix and part choice against the per-column loop,
+    bit for bit, an exact tie of the part norms included
   - AR weight seeding: exact recovery, normal-equation oracle, scale
     invariance, zero rows, empty lag sets
 """
@@ -125,6 +127,73 @@ def test_seed_rank_above_numerical_rank(shape):
     assert not (vt if shape[0] <= shape[1] else u).any()
 
 
+def _seed_per_column(x, rank):
+    """The seed with its sign fix and part choice one column at a time: the
+    reference for init_factors_svd's whole-array form."""
+    n, T = x.shape
+    spatial = np.zeros((n, rank))
+    latent = np.zeros((rank, T))
+    u, s, vt = init._leading_svd(x, rank)
+    for i in range(rank):
+        j = int(np.argmax(np.abs(u[:, i])))
+        if u[j, i] < 0:
+            u[:, i] = -u[:, i]
+            vt[i, :] = -vt[i, :]
+    spatial[:, 0] = np.sqrt(s[0]) * np.abs(u[:, 0])
+    latent[0, :] = np.sqrt(s[0]) * np.abs(vt[0, :])
+    for i in range(1, rank):
+        up, un = np.maximum(u[:, i], 0.0), np.maximum(-u[:, i], 0.0)
+        vp, vn = np.maximum(vt[i, :], 0.0), np.maximum(-vt[i, :], 0.0)
+        if np.linalg.norm(up) * np.linalg.norm(vp) >= \
+                np.linalg.norm(un) * np.linalg.norm(vn):
+            cu, cv = up, vp
+        else:
+            cu, cv = un, vn
+        spatial[:, i] = np.sqrt(s[i]) * cu
+        latent[i, :] = np.sqrt(s[i]) * cv
+    product = spatial @ latent
+    denom = float(np.vdot(product, product))
+    if denom > 0:
+        latent *= max(0.0, float(np.vdot(x, product)) / denom)
+    return spatial, latent
+
+
+def _same_bits(got, ref):
+    return all(g.flags.c_contiguous and g.shape == r.shape
+               and g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("shape", [(9, 14), (14, 9), (40, 300), (300, 40)])
+def test_seed_matches_per_column_reference(shape):
+    # signed data too, whose leading singular vectors mix signs
+    rng = np.random.default_rng(shape[0])
+    for trial in range(6):
+        draw = rng.random if trial % 2 else rng.standard_normal
+        x = draw(shape) * rng.uniform(0.1, 50)
+        for rank in (1, 2, min(shape) // 2, min(shape)):
+            assert _same_bits(init_factors_svd(x, rank),
+                              _seed_per_column(x, rank)), (trial, rank)
+
+
+def test_seed_part_choice_on_an_exact_tie(monkeypatch):
+    # pairs counted from 0: pair 1's positive and negative parts have equal
+    # norm products, and the positive pair is kept; pair 2's largest-
+    # magnitude entries tie, and the first of them, negative, sets the sign
+    u = np.array([[0.5, 0.5, -0.5], [0.5, -0.5, 0.5],
+                  [0.5, 0.5, -0.5], [0.5, -0.5, 0.25]])
+    s = np.array([4.0, 2.0, 1.0])
+    vt = np.array([[0.5, 0.5, 0.5, 0.5, 0.0],
+                   [0.5, -0.5, -0.5, 0.5, 0.0],
+                   [0.0, 0.25, -0.75, 0.5, 0.25]])
+    x = np.abs(u * s @ vt) + 1.0
+    monkeypatch.setattr(init, "_leading_svd",
+                        lambda x, rank: (u.copy(), s.copy(), vt.copy()))
+    w, h = init_factors_svd(x, 3)
+    assert _same_bits((w, h), _seed_per_column(x, 3))
+    assert np.array_equal(w[:, 1] > 0, u[:, 1] > 0)
+    assert np.array_equal(w[:, 2] > 0, u[:, 2] < 0)
+
+
 # ---------------------------------------------------------- AR weight seed
 
 def test_lag_weights_recover_exact_ar():
@@ -155,6 +224,15 @@ def test_lag_weights_match_normal_equation_oracle():
 
 def test_lag_weights_zero_row_and_empty_set():
     assert not init_lag_weights(np.zeros((2, 6)), LagSet([1, 2])).any()
+    # a zero row's design is all zero, and so is its pseudoinverse; the
+    # other rows keep their own fits
+    latent = np.random.default_rng(6).random((3, 30))
+    latent[1] = 0.0
+    got = init_lag_weights(latent, LagSet([1, 4]))
+    assert got[1].tobytes() == np.zeros(2).tobytes()
+    for p in (0, 2):
+        np.testing.assert_array_equal(
+            got[p], init_lag_weights(latent[p:p + 1], LagSet([1, 4]))[0])
     out = init_lag_weights(np.ones((3, 6)), LagSet())
     assert out.shape == (3, 0)
 

@@ -42,6 +42,23 @@ def test_load_non_binary_routing_names_cell(tmp_path):
         load_matrix_csv(p, "routing")
 
 
+@pytest.mark.parametrize("kind, text, rule, cells", [
+    ("routing", "1,0\n0,2\n0.5,1\n", "routing entries must be 0 or 1",
+     "(2,2), (3,1)"),
+    ("mask", "2,0\n", "mask entries must be 0 or 1", "(1,1)"),
+    ("traffic", "0,-1\n-1,0\n", "traffic entries must be >= 0",
+     "(1,2), (2,1)"),
+    ("link", ",".join(["-1"] * 12) + "\n", "link entries must be >= 0",
+     ", ".join(f"(1,{j})" for j in range(1, 11))),
+])
+def test_load_offending_cells_message(tmp_path, kind, text, rule, cells):
+    p = tmp_path / "a.csv"
+    p.write_text(text)
+    with pytest.raises(ValidationError) as exc:
+        load_matrix_csv(p, kind)
+    assert str(exc.value) == f"{p}: {rule}; offending cells: {cells}"
+
+
 def test_load_ragged_row(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("1,2,3\n4,5\n")

@@ -33,15 +33,25 @@ def test_routing_rejects_non_binary():
 
 
 def test_bad_cell_messages_print_plain_values():
-    with pytest.raises(ValidationError) as exc:
-        RoutingMatrix(np.array([[np.nan, 1.0]]))
-    assert str(exc.value) == "routing entries must be 0 or 1; cell (1,1) is nan"
-    with pytest.raises(ValidationError, match=r"cell \(1,1\) is 0.5$"):
-        TrafficMatrix(np.ones((1, 2)), mask=np.array([[0.5, 1.0]]))
-    with pytest.raises(ValidationError, match=r"cell \(1,2\) is -1.0$"):
-        TrafficMatrix(np.array([[1.0, -1.0]]))
-    with pytest.raises(ValidationError, match=r"cell \(1,2\) is -2.0$"):
-        LinkFlowMatrix(np.array([[1.0, -2.0]]))
+    # the full text of each type rule's message
+    cases = [
+        (lambda: RoutingMatrix(np.array([[np.nan, 1.0]])),
+         "routing entries must be 0 or 1; cell (1,1) is nan"),
+        (lambda: TrafficMatrix(np.array([[1.0, 2.0], [np.inf, 0.0]])),
+         "traffic must be finite; cell (2,1) is inf"),
+        (lambda: TrafficMatrix(np.ones((1, 2)), mask=np.array([[0.5, 1.0]])),
+         "mask entries must be 0 or 1; cell (1,1) is 0.5"),
+        (lambda: TrafficMatrix(np.array([[1.0, -1.0]])),
+         "observed traffic must be >= 0; cell (1,2) is -1.0"),
+        (lambda: LinkFlowMatrix(np.array([[1.0, 0.0], [0.0, -np.inf]])),
+         "link flows must be finite; cell (2,2) is -inf"),
+        (lambda: LinkFlowMatrix(np.array([[1.0, -2.0]])),
+         "link flows must be >= 0; cell (1,2) is -2.0"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 def test_routing_warns_on_zero_column(caplog):
