@@ -25,8 +25,8 @@ from .factors import LagSet
 from .fileio import (ModelArchive, format_float, load_matrix_csv, load_model,
                      parse_config_file, save_model, sha256_hex, write_matrix_csv)
 from .metrics import cdf_points, sre, summary_stats, tre
-from .network import (RoutingMatrix, TrafficMatrix, compute_link_flows,
-                      generate_synthetic, split_train_test)
+from .network import (LinkFlowMatrix, RoutingMatrix, TrafficMatrix,
+                      compute_link_flows, generate_synthetic, split_train_test)
 from .training import BLOCKS, TrainConfig, train
 
 logger = logging.getLogger(__name__)
@@ -162,6 +162,17 @@ def _require_file(path, what) -> Path:
     return p
 
 
+def _read(build, *inputs):
+    """build(*matrices) of the CSV files that inputs give as (path, what)
+    pairs, each a required input.  build is a matrix type, which checks the
+    values; an error it raises is given the files' names."""
+    paths = [_require_file(path, what) for path, what in inputs]
+    try:
+        return build(*map(load_matrix_csv, paths))
+    except (ShapeError, ValidationError) as exc:
+        raise type(exc)(f"{', '.join(map(str, paths))}: {exc}") from None
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     try:
@@ -226,22 +237,19 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    routing_path = _require_file(args.routing, "routing")
-    traffic_path = _require_file(args.traffic, "traffic")
-    routing = RoutingMatrix(load_matrix_csv(routing_path, "routing"))
-    entries = load_matrix_csv(traffic_path, "traffic")
-    mask = None
+    routing = _read(RoutingMatrix, (args.routing, "routing"))
+    inputs = [(args.traffic, "traffic")]
     if args.mask:
-        mask = load_matrix_csv(_require_file(args.mask, "mask"), "mask")
+        inputs.append((args.mask, "mask"))
+    # the whole file is checked, not only the columns that --split keeps
+    traffic = _read(TrafficMatrix, *inputs)
     split = args.split
     if split is not None:
-        if not 0 < split <= entries.shape[1]:
-            raise ConfigError(
-                f"split must lie in (0, {entries.shape[1]}], got {split}")
-        entries = entries[:, :split]
-        if mask is not None:
-            mask = mask[:, :split]
-    traffic = TrafficMatrix(entries, mask=mask)
+        T = traffic.n_timestamps
+        if not 0 < split <= T:
+            raise ConfigError(f"split must lie in (0, {T}], got {split}")
+        mask = None if traffic.mask is None else traffic.mask[:, :split]
+        traffic = TrafficMatrix(traffic.entries[:, :split], mask=mask)
 
     config = TrainConfig(
         rank=args.rank, lag_set=LagSet.from_text(args.lags),
@@ -280,14 +288,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    model_path = _require_file(args.model, "model")
-    link_path = _require_file(args.linkflows, "linkflows")
-    archive = load_model(model_path)
-    links = load_matrix_csv(link_path, "link")
-    if links.shape[0] != archive.routing.n_links:
+    archive = load_model(_require_file(args.model, "model"))
+    links = _read(LinkFlowMatrix, (args.linkflows, "linkflows"))
+    if links.n_links != archive.routing.n_links:
         raise ShapeError(
-            f"link-flow matrix has {links.shape[0]} rows but the model was "
-            f"trained with {archive.routing.n_links} links")
+            f"{args.linkflows}: link-flow matrix has {links.n_links} rows "
+            f"but the model was trained with {archive.routing.n_links} links")
     config = EstimatorConfig(r_max_em=args.r_max_em, delta_em=args.delta_em)
     estimates = estimate_od_flows(links, archive.model, archive.routing, config)
     out = _outdir(args)
@@ -298,13 +304,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    true_path = _require_file(args.true_path, "true OD matrix")
-    est_path = _require_file(args.est_path, "estimated OD matrix")
-    x_true = load_matrix_csv(true_path, "traffic")
-    x_est = load_matrix_csv(est_path, "traffic")
+    x_true = _read(TrafficMatrix, (args.true_path, "true OD matrix")).entries
+    x_est = _read(TrafficMatrix,
+                  (args.est_path, "estimated OD matrix")).entries
     if x_true.shape != x_est.shape:
         raise ShapeError(
-            f"true shape {x_true.shape} != estimated shape {x_est.shape}")
+            f"{args.true_path}, {args.est_path}: true shape {x_true.shape} "
+            f"!= estimated shape {x_est.shape}")
     row_err = sre(x_true, x_est)
     col_err = tre(x_true, x_est)
     out = _outdir(args)

@@ -209,6 +209,8 @@ class FactorModel:
         if spatial.ndim != 2 or latent.ndim != 2 or ar_weights.ndim != 2:
             raise ShapeError("factors must be 2-D arrays")
         n, k = spatial.shape
+        if k < 1:
+            raise ShapeError(f"factors must have rank >= 1, got {k}")
         if latent.shape[0] != k:
             raise ShapeError(f"latent has {latent.shape[0]} rows, expected rank {k}")
         if ar_weights.shape != (k, len(lag_set)):

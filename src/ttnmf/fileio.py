@@ -17,7 +17,6 @@ from .network import RoutingMatrix
 ARCHIVE_MAGIC = "TTNMF-MODEL"
 ARCHIVE_VERSION = 1
 
-_KINDS = ("routing", "traffic", "link", "mask")
 _WEIGHTS = ("lambda_temporal", "lambda_ortho", "beta_temporal", "beta_ortho")
 
 
@@ -76,33 +75,18 @@ def _parse_csv(path) -> np.ndarray:
     return _parse_cells(path)
 
 
-def load_matrix_csv(path, expected_kind: str) -> np.ndarray:
-    """Load a headerless numeric CSV ('#' comments allowed) and validate it.
-
-    kind "routing"/"mask" requires {0,1} entries; "traffic"/"link" requires
-    nonnegative entries.  Cell coordinates in errors are 1-based over data
-    rows (comment and blank lines do not count).
+def load_matrix_csv(path) -> np.ndarray:
+    """Parse a headerless numeric CSV ('#' comments allowed) into a 2-D
+    float array.  The values are not checked: that is the job of the matrix
+    type the array is given to, whose cell coordinates then count data rows
+    only (comment and blank lines do not count).
     """
-    if expected_kind not in _KINDS:
-        raise ConfigError(f"unknown matrix kind {expected_kind!r}")
     try:
         arr = _parse_csv(path)
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
     if not arr.size:
         raise ParseError(f"{path}: no data rows")
-    if not np.isfinite(arr).all():
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise ValidationError(
-            f"{path}: non-finite value at cell ({i + 1},{j + 1})")
-    binary = expected_kind in ("routing", "mask")
-    bad = np.argwhere((arr != 0.0) & (arr != 1.0) if binary else arr < 0)
-    if len(bad):
-        cells = ", ".join(f"({i + 1},{j + 1})" for i, j in bad[:10])
-        rule = "0 or 1" if binary else ">= 0"
-        raise ValidationError(
-            f"{path}: {expected_kind} entries must be {rule}; offending "
-            f"cells: {cells}")
     return arr
 
 
@@ -225,7 +209,8 @@ def load_model(path) -> ModelArchive:
     A malformed or truncated archive, one that lacks a header field, or one
     whose matrix payload does not match its payload_sha256 or whose matrices
     do not have the shapes of its dims line, raises ParseError (or ShapeError
-    / ValidationError when well-formed factors do not fit together).
+    / ValidationError naming path when well-formed factors are invalid or do
+    not fit together).
     """
     with open(path, "rb") as fh:
         magic = _read_line(fh, path).split()
@@ -295,8 +280,11 @@ def load_model(path) -> ModelArchive:
     lag_set = _parse(path, "lags line", LagSet.from_text, fields["lags"])
     weights = _parse(path, "penalty weights", lambda f: RegularizationWeights(
         **{key: float(f[key]) for key in _WEIGHTS}), fields)
-    routing = RoutingMatrix(matrices["routing"])
-    model = FactorModel.from_factors(matrices["spatial"], matrices["latent"],
-                                     matrices["ar_weights"], lag_set, routing,
-                                     weights)
+    try:
+        routing = RoutingMatrix(matrices["routing"])
+        model = FactorModel.from_factors(
+            matrices["spatial"], matrices["latent"], matrices["ar_weights"],
+            lag_set, routing, weights)
+    except (ShapeError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return ModelArchive(model=model, routing=routing, provenance=provenance)

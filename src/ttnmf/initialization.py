@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericalFailure, ShapeError
 from .factors import LagSet, lag_designs
 
 logger = logging.getLogger(__name__)
@@ -19,10 +19,16 @@ def _leading_svd(x, rank: int):
     smaller Gram matrix (X X^T, or X^T X for a tall x); each s is the norm of
     x projected on one of them, never the square root of a rounded
     eigenvalue, and the vector on the other side is that projection over s,
-    or 0 where s is 0.
+    or 0 where s is 0.  Raises NumericalFailure if the Gram matrix
+    overflows.
     """
     wide = x.shape[0] <= x.shape[1]
-    vecs = np.linalg.eigh(x @ x.T if wide else x.T @ x)[1][:, ::-1][:, :rank]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ x.T if wide else x.T @ x
+    if not np.isfinite(gram).all():
+        raise NumericalFailure("SVD seed: the data's Gram matrix overflows "
+                               "float64")
+    vecs = np.linalg.eigh(gram)[1][:, ::-1][:, :rank]
     proj = vecs.T @ x if wide else (x @ vecs).T
     s = np.sqrt(np.einsum("ij,ij->i", proj, proj))
     other = np.divide(proj, s[:, None], out=np.zeros_like(proj),

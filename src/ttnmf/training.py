@@ -44,7 +44,7 @@ class TrainConfig:
     beta_ortho: float = 0.2
     q_max: int = 50
 
-    def validate(self):
+    def __post_init__(self):
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         for name in ("beta_temporal", "beta_ortho"):
@@ -392,7 +392,6 @@ def train(traffic, routing, config: TrainConfig):
     the current W H (em_mask_step), EM_WARMUP_ITERS penalty-free ones before
     the penalties are tuned, so the values in unobserved cells never matter.
     """
-    config.validate()
     if isinstance(traffic, np.ndarray):
         traffic = TrafficMatrix(traffic)
     x = traffic.entries

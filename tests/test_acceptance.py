@@ -179,8 +179,8 @@ def test_criterion_8_internet2_reproduction():
         pytest.skip(
             "Internet2 data not present: provide routing.csv and traffic.csv "
             "in tests/data/internet2/ or point TTNMF_INTERNET2_DIR at them")
-    routing = RoutingMatrix(load_matrix_csv(routing_path, "routing"))
-    entries = load_matrix_csv(traffic_path, "traffic")
+    routing = RoutingMatrix(load_matrix_csv(routing_path))
+    entries = load_matrix_csv(traffic_path)
     assert entries.shape[1] >= 3168, "expected >= 3168 five-minute slots"
     train_tm = TrafficMatrix(entries[:, :2016])
     test_entries = entries[:, 2016:3168]
@@ -230,7 +230,7 @@ def test_criterion_9_cli_round_trip_is_deterministic(tmp_path):
                  "--true", str(data / "traffic_test.csv"),
                  "--est", str(data / "traffic_test.csv")]) == 0
     for name in ("sre.csv", "tre.csv"):
-        vals = load_matrix_csv(self_run / name, "traffic")
+        vals = load_matrix_csv(self_run / name)
         np.testing.assert_array_equal(vals, 0.0)
 
     codes2, data2, run2 = _run_pipeline(tmp_path / "second")

@@ -7,13 +7,14 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ttnmf
-from ttnmf import cli, load_matrix_csv, load_model
+from ttnmf import cli, load_matrix_csv, load_model, write_matrix_csv
 from ttnmf.cli import main
 
 
@@ -26,9 +27,9 @@ def _synth(out, *extra):
 def test_synth_writes_scenario_files(tmp_path):
     out = tmp_path / "data"
     assert _synth(out) == 0
-    routing = load_matrix_csv(out / "routing.csv", "routing")
-    traffic = load_matrix_csv(out / "traffic.csv", "traffic")
-    links = load_matrix_csv(out / "linkflows.csv", "link")
+    routing = load_matrix_csv(out / "routing.csv")
+    traffic = load_matrix_csv(out / "traffic.csv")
+    links = load_matrix_csv(out / "linkflows.csv")
     assert routing.shape[1] == traffic.shape[0] == 12  # 4*3 OD pairs
     assert links.shape == (routing.shape[0], traffic.shape[1])
     np.testing.assert_allclose(links, routing @ traffic, rtol=1e-12)
@@ -37,12 +38,12 @@ def test_synth_writes_scenario_files(tmp_path):
 def test_synth_split_and_mask_outputs(tmp_path):
     out = tmp_path / "data"
     assert _synth(out, "--split", "40", "--mask-fraction", "0.3") == 0
-    tr = load_matrix_csv(out / "traffic_train.csv", "traffic")
-    te = load_matrix_csv(out / "traffic_test.csv", "traffic")
-    lte = load_matrix_csv(out / "linkflows_test.csv", "link")
+    tr = load_matrix_csv(out / "traffic_train.csv")
+    te = load_matrix_csv(out / "traffic_test.csv")
+    lte = load_matrix_csv(out / "linkflows_test.csv")
     assert tr.shape[1] == 40 and te.shape[1] == 20
     assert lte.shape[1] == 20
-    mask = load_matrix_csv(out / "mask.csv", "mask")
+    mask = load_matrix_csv(out / "mask.csv")
     assert mask.shape == (12, 60)
     frac = 1.0 - mask.mean()
     assert 0.2 < frac < 0.4
@@ -124,7 +125,7 @@ def test_full_pipeline_round_trip(tmp_path):
     assert main(["estimate", "--out", str(run),
                  "--model", str(run / "model.ttnmf"),
                  "--linkflows", str(data / "linkflows_test.csv")]) == 0
-    est = load_matrix_csv(run / "estimated.csv", "traffic")
+    est = load_matrix_csv(run / "estimated.csv")
     assert est.shape == (12, 20)
     assert (est >= 0).all()
     assert main(["evaluate", "--out", str(run),
@@ -269,7 +270,7 @@ def test_estimate_link_count_mismatch_exits_2(tmp_path, capsys):
     data, out = tmp_path / "data", tmp_path / "run"
     _synth(data)
     _train(data, out)
-    links = load_matrix_csv(data / "linkflows.csv", "link")
+    links = load_matrix_csv(data / "linkflows.csv")
     bad = tmp_path / "bad_links.csv"
     from ttnmf import write_matrix_csv
     write_matrix_csv(bad, links[:-1, :])
@@ -278,8 +279,9 @@ def test_estimate_link_count_mismatch_exits_2(tmp_path, capsys):
                  "--linkflows", str(bad)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{links.shape[0] - 1} rows" in err
-    assert f"{links.shape[0]} links" in err
+    assert err == (f"ttnmf: {bad}: link-flow matrix has {links.shape[0] - 1} "
+                   f"rows but the model was trained with {links.shape[0]} "
+                   "links\n")
 
 
 def test_evaluate_identical_inputs_give_zero_errors(tmp_path):
@@ -289,7 +291,7 @@ def test_evaluate_identical_inputs_give_zero_errors(tmp_path):
                  "--true", str(data / "traffic.csv"),
                  "--est", str(data / "traffic.csv")]) == 0
     for name in ("sre.csv", "tre.csv"):
-        vals = load_matrix_csv(run / name, "traffic")
+        vals = load_matrix_csv(run / name)
         np.testing.assert_array_equal(vals, 0.0)
     stats = (run / "stats.csv").read_text().splitlines()
     assert stats[0] == "stat,sre,tre"
@@ -315,7 +317,8 @@ def test_evaluate_shape_mismatch_exits_2(tmp_path, capsys):
     write_matrix_csv(b, np.ones((3, 2)))
     assert main(["evaluate", "--out", str(tmp_path / "r"),
                  "--true", str(a), "--est", str(b)]) == 2
-    assert "shape" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"ttnmf: {a}, {b}: true shape (2, 3) != estimated shape (3, 2)\n")
 
 
 def test_invalid_log_level_exits_1(tmp_path, monkeypatch, capsys):
@@ -603,8 +606,8 @@ def test_malformed_csv_and_config_exit_cleanly(tmp_path, capsys):
     cases = [
         ("non-UTF-8 byte", b"1,2\n3,\xff\n", 2, "not UTF-8"),
         ("ragged row", b"1,2\n3\n", 2, "ragged row 2"),
-        ("NaN cell", b"1,nan\n", 2, "non-finite value at cell (1,2)"),
-        ("negative cell", b"1,-2\n", 2, "offending cells: (1,2)"),
+        ("NaN cell", b"1,nan\n", 2, "must be finite; cell (1,2) is nan"),
+        ("negative cell", b"1,-2\n", 2, "must be >= 0; cell (1,2) is -2.0"),
         ("empty file", b"", 2, "no data rows"),
         ("directory path", None, 1, "is not a file"),
     ]
@@ -728,8 +731,8 @@ def test_train_provenance_hashes_the_input_matrices(tmp_path, split):
     _synth(data)
     extra = () if split is None else ("--split", str(split))
     assert _train(data, out, *extra) == 0
-    traffic = load_matrix_csv(data / "traffic.csv", "traffic")[:, :split]
-    routing = load_matrix_csv(data / "routing.csv", "routing")
+    traffic = load_matrix_csv(data / "traffic.csv")[:, :split]
+    routing = load_matrix_csv(data / "routing.csv")
     prov = load_model(out / "model.ttnmf").provenance
     # the digests of the matrices' row-major bytes, as tobytes() gives them
     assert prov["traffic_sha256"] == hashlib.sha256(traffic.tobytes()).hexdigest()
@@ -767,7 +770,7 @@ def test_failed_evaluate_write_leaves_previous_outputs(tmp_path, monkeypatch,
     data, out = tmp_path / "data", tmp_path / "run"
     _synth(data)
     write_matrix_csv(tmp_path / "est.csv",
-                     1.1 * load_matrix_csv(data / "traffic.csv", "traffic"))
+                     1.1 * load_matrix_csv(data / "traffic.csv"))
     argv = ["evaluate", "--out", str(out), "--true", str(data / "traffic.csv"),
             "--est", str(tmp_path / "est.csv")]
     assert main(argv) == 0
@@ -785,3 +788,127 @@ def test_failed_evaluate_write_leaves_previous_outputs(tmp_path, monkeypatch,
     assert main(argv) == 1
     assert capsys.readouterr().err == "ttnmf: disk full\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_train_mask_never_reads_unobserved_cells(tmp_path):
+    # the CLI twin of test_train_never_reads_unobserved_cells: -1, which an
+    # observed cell may not hold, in every unobserved cell trains the same
+    # factors bit for bit as the original traffic
+    data = tmp_path / "data"
+    _synth(data, "--mask-fraction", "0.2")
+    x = load_matrix_csv(data / "traffic.csv")
+    mask = load_matrix_csv(data / "mask.csv")
+    assert (mask == 0.0).any() and (x > 0).all()
+    negative = tmp_path / "negative.csv"
+    write_matrix_csv(negative, np.where(mask == 1.0, x, -1.0))
+    models = []
+    for traffic in (data / "traffic.csv", negative):
+        out = tmp_path / traffic.stem
+        assert main(["train", "--out", str(out),
+                     "--routing", str(data / "routing.csv"),
+                     "--traffic", str(traffic),
+                     "--mask", str(data / "mask.csv"),
+                     "--rank", "2", "--lags", "1,2", "--q-max", "5"]) == 0
+        models.append(load_model(out / "model.ttnmf").model)
+    for name in ("spatial", "latent", "ar_weights"):
+        assert (getattr(models[0], name).tobytes()
+                == getattr(models[1], name).tobytes()), name
+
+
+# (command, its input flags, its other settings)
+_BAD_CELL_COMMANDS = [
+    ("train", ("--routing", "--traffic", "--mask"),
+     ("--rank", "1", "--lags", "1", "--q-max", "1")),
+    ("estimate", ("--model", "--linkflows"), ()),
+    ("evaluate", ("--true", "--est"), ()),
+]
+
+
+# each rule is the exact text of the matrix type the file is read as; cell
+# coordinates count data rows only
+@pytest.mark.parametrize("flag, content, rule", [
+    ("--routing", "1,0,2\n0,1,1\n",
+     "routing entries must be 0 or 1; cell (1,3) is 2.0"),
+    ("--routing", "1,0,1\n0,nan,1\n",
+     "routing entries must be 0 or 1; cell (2,2) is nan"),
+    ("--traffic", "1,1,1,1\n# a comment\n1,1,nan,1\n1,1,1,1\n",
+     "traffic must be finite; cell (2,3) is nan"),
+    ("--traffic", "1,1,1,1\n1,-2,1,1\n1,1,1,1\n",
+     "observed traffic must be >= 0; cell (2,2) is -2.0"),
+    ("--mask", "1,1,1,1\n1,0.5,1,1\n1,1,1,1\n",
+     "mask entries must be 0 or 1; cell (2,2) is 0.5"),
+    ("--mask", "1,1,1,1\n1,1,1,1\n",
+     "mask shape (2, 4) != traffic shape (3, 4)"),
+    ("--linkflows", "1,2\n3,inf\n",
+     "link flows must be finite; cell (2,2) is inf"),
+    ("--linkflows", "1,2\n-3,4\n",
+     "link flows must be >= 0; cell (2,1) is -3.0"),
+    ("--true", "1,1\n1,-inf\n",
+     "traffic must be finite; cell (2,2) is -inf"),
+    ("--est", "1,-1\n1,1\n",
+     "observed traffic must be >= 0; cell (1,2) is -1.0"),
+])
+def test_bad_cell_exits_2_with_the_type_rule(tmp_path, capsys, flag, content,
+                                             rule):
+    files = {"--model": tmp_path / "model.ttnmf"}
+    routing = _tiny_archive(files["--model"])
+    for name, matrix in (("--routing", routing.entries),
+                         ("--traffic", np.ones((3, 4))),
+                         ("--mask", np.ones((3, 4))),
+                         ("--linkflows", routing.entries @ np.ones((3, 2))),
+                         ("--true", np.ones((2, 2))),
+                         ("--est", np.ones((2, 2)))):
+        files[name] = tmp_path / f"{name[2:]}.csv"
+        write_matrix_csv(files[name], matrix)
+    command, inputs, settings = next(c for c in _BAD_CELL_COMMANDS
+                                     if flag in c[1])
+    argv = [command, "--out", str(tmp_path / "run"), *settings]
+    for name in inputs:
+        argv += [name, str(files[name])]
+    assert main(argv) == 0
+    capsys.readouterr()
+    files[flag].write_text(content)
+    assert main(argv) == 2
+    # train reads the traffic and its mask as one TrafficMatrix
+    named = (("--traffic", "--mask") if flag in ("--traffic", "--mask")
+             else (flag,))
+    prefix = ", ".join(str(files[name]) for name in named)
+    assert capsys.readouterr().err == f"ttnmf: {prefix}: {rule}\n"
+
+
+def test_rank_0_archive_exits_2(tmp_path, capsys):
+    # a validly signed archive whose factors have no columns
+    from ttnmf import (FactorModel, LagSet, ModelArchive,
+                       RegularizationWeights, save_model)
+    routing = _tiny_archive(tmp_path / "good.ttnmf")
+    empty = FactorModel(np.zeros((3, 0)), np.zeros((0, 4)), np.zeros((0, 2)),
+                        LagSet((1, 2)), np.zeros((2, 0)),
+                        RegularizationWeights(0.1, 0.2, 0.2, 0.2))
+    model = tmp_path / "model.ttnmf"
+    save_model(model, ModelArchive(empty, routing))
+    assert b"\ndims 3 0 4 2\n" in model.read_bytes()
+    links = tmp_path / "links.csv"
+    write_matrix_csv(links, routing.entries @ np.ones((3, 2)))
+    out = tmp_path / "run"
+    assert main(["estimate", "--out", str(out), "--model", str(model),
+                 "--linkflows", str(links)]) == 2
+    assert capsys.readouterr().err == (
+        f"ttnmf: {model}: factors must have rank >= 1, got 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e200])
+def test_overflowing_traffic_exits_3(tmp_path, capsys, scale):
+    # finite, nonnegative traffic whose SVD-seed Gram matrix overflows; at
+    # 1e152 the same data trains
+    data, big = tmp_path / "data", tmp_path / "big.csv"
+    _synth(data)
+    write_matrix_csv(big, scale * load_matrix_csv(data / "traffic.csv"))
+    argv = ["train", "--out", str(tmp_path / "run"),
+            "--routing", str(data / "routing.csv"), "--traffic", str(big),
+            "--rank", "2", "--lags", "1,2", "--q-max", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+        assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "ttnmf: SVD seed: the data's Gram matrix overflows float64\n")

@@ -1,15 +1,17 @@
-"""CSV loading and validation, config parsing, model archive round trip."""
+"""CSV parsing, config parsing, model archive round trip."""
 
 import hashlib
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ttnmf import (FactorModel, LagSet, ModelArchive, RegularizationWeights,
-                   RoutingMatrix, load_matrix_csv, load_model,
-                   parse_config_file, save_model, write_matrix_csv)
+from ttnmf import (FactorModel, LagSet, LinkFlowMatrix, ModelArchive,
+                   RegularizationWeights, RoutingMatrix, TrafficMatrix,
+                   load_matrix_csv, load_model, parse_config_file, save_model,
+                   write_matrix_csv)
 from ttnmf.errors import ConfigError, ParseError, ValidationError
 from ttnmf.fileio import format_float
 
@@ -17,7 +19,7 @@ from ttnmf.fileio import format_float
 def test_load_routing_identity(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("1,0\n0,1\n")
-    arr = load_matrix_csv(p, "routing")
+    arr = load_matrix_csv(p)
     np.testing.assert_array_equal(arr, np.eye(2))
 
 
@@ -25,73 +27,58 @@ def test_load_non_numeric_cell(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("1,2\n3,x\n")
     with pytest.raises(ParseError, match=r"row 2 col 2"):
-        load_matrix_csv(p, "traffic")
+        load_matrix_csv(p)
 
 
 def test_load_negative_traffic_names_cell(tmp_path):
+    # the reader keeps the value; the type names its cell, counting data
+    # rows only
     p = tmp_path / "a.csv"
-    p.write_text("0,0\n-1,0\n")
-    with pytest.raises(ValidationError, match=r"\(2,1\)"):
-        load_matrix_csv(p, "traffic")
+    p.write_text("# comment\n0,0\n\n-1,0\n")
+    arr = load_matrix_csv(p)
+    assert arr[1, 0] == -1.0
+    with pytest.raises(ValidationError, match=r"\(2,1\) is -1.0$"):
+        TrafficMatrix(arr)
 
 
 def test_load_non_binary_routing_names_cell(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("1,0\n0,2\n")
-    with pytest.raises(ValidationError, match=r"\(2,2\)"):
-        load_matrix_csv(p, "routing")
-
-
-@pytest.mark.parametrize("kind, text, rule, cells", [
-    ("routing", "1,0\n0,2\n0.5,1\n", "routing entries must be 0 or 1",
-     "(2,2), (3,1)"),
-    ("mask", "2,0\n", "mask entries must be 0 or 1", "(1,1)"),
-    ("traffic", "0,-1\n-1,0\n", "traffic entries must be >= 0",
-     "(1,2), (2,1)"),
-    ("link", ",".join(["-1"] * 12) + "\n", "link entries must be >= 0",
-     ", ".join(f"(1,{j})" for j in range(1, 11))),
-])
-def test_load_offending_cells_message(tmp_path, kind, text, rule, cells):
-    p = tmp_path / "a.csv"
-    p.write_text(text)
-    with pytest.raises(ValidationError) as exc:
-        load_matrix_csv(p, kind)
-    assert str(exc.value) == f"{p}: {rule}; offending cells: {cells}"
+    p.write_text("1,0\n# comment\n0,2\n")
+    arr = load_matrix_csv(p)
+    assert arr[1, 1] == 2.0
+    with pytest.raises(ValidationError, match=r"\(2,2\) is 2.0$"):
+        RoutingMatrix(arr)
 
 
 def test_load_ragged_row(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("1,2,3\n4,5\n")
     with pytest.raises(ParseError, match="ragged row 2"):
-        load_matrix_csv(p, "traffic")
+        load_matrix_csv(p)
 
 
 def test_load_skips_comments_and_blank_lines(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("# header comment\n\n1,2\n# interior\n3,4\n")
-    arr = load_matrix_csv(p, "traffic")
+    arr = load_matrix_csv(p)
     np.testing.assert_array_equal(arr, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_load_rejects_non_finite(tmp_path):
+    # the reader parses inf; the type it is given to rejects it
     p = tmp_path / "a.csv"
     p.write_text("1,inf\n")
-    with pytest.raises(ValidationError, match=r"non-finite"):
-        load_matrix_csv(p, "link")
+    arr = load_matrix_csv(p)
+    assert arr[0, 1] == np.inf
+    with pytest.raises(ValidationError, match=r"must be finite; cell \(1,2\)"):
+        LinkFlowMatrix(arr)
 
 
 def test_load_empty_file(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("# nothing here\n")
     with pytest.raises(ParseError, match="no data rows"):
-        load_matrix_csv(p, "traffic")
-
-
-def test_load_unknown_kind(tmp_path):
-    p = tmp_path / "a.csv"
-    p.write_text("1\n")
-    with pytest.raises(ConfigError):
-        load_matrix_csv(p, "bogus")
+        load_matrix_csv(p)
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
@@ -99,7 +86,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     arr = rng.random((7, 5)) * np.array([1e-9, 1.0, 1e9, np.pi, 1 / 3])
     p = tmp_path / "a.csv"
     write_matrix_csv(p, arr)
-    back = load_matrix_csv(p, "traffic")
+    back = load_matrix_csv(p)
     # 17 significant digits round-trip float64 exactly
     assert (back == arr).all()
 
@@ -238,7 +225,8 @@ def test_archive_missing_header_field(tmp_path, field):
 
 def _reference_load(path, expected_kind):
     """The per-cell parser load_matrix_csv used before numpy's C reader,
-    with the same validation, kept as the reference for the fast path."""
+    then the value rule of the kind's matrix type cell by cell in row-major
+    order: the reference for the fast path and the type it feeds."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -265,26 +253,20 @@ def _reference_load(path, expected_kind):
             rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
-    if not np.isfinite(arr).all():
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise ValidationError(
-            f"{path}: non-finite value at cell ({i + 1},{j + 1})")
-    if expected_kind in ("routing", "mask"):
-        bad = np.argwhere((arr != 0.0) & (arr != 1.0))
-        if len(bad):
-            cells = ", ".join(f"({i + 1},{j + 1})" for i, j in bad[:10])
-            raise ValidationError(
-                f"{path}: {expected_kind} entries must be 0 or 1; offending "
-                f"cells: {cells}")
+    if expected_kind == "routing":
+        rules = [("routing entries must be 0 or 1", lambda v: v not in (0, 1))]
     else:
-        bad = np.argwhere(arr < 0)
-        if len(bad):
-            cells = ", ".join(f"({i + 1},{j + 1})" for i, j in bad[:10])
-            raise ValidationError(
-                f"{path}: {expected_kind} entries must be >= 0; offending "
-                f"cells: {cells}")
-    return arr
+        rules = [("traffic must be finite", lambda v: not math.isfinite(v)),
+                 ("observed traffic must be >= 0", lambda v: v < 0)]
+    for rule, bad in rules:
+        for i, row in enumerate(rows, start=1):
+            for j, v in enumerate(row, start=1):
+                if bad(v):
+                    raise ValidationError(f"{rule}; cell ({i},{j}) is {v}")
+    return np.asarray(rows, dtype=float)
+
+
+_TYPES = {"traffic": TrafficMatrix, "routing": RoutingMatrix}
 
 
 def _outcome(load, path, kind):
@@ -293,6 +275,11 @@ def _outcome(load, path, kind):
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc)
     return arr.shape, arr.tobytes()
+
+
+def _typed_load(path, kind):
+    """load_matrix_csv, then the kind's matrix type."""
+    return _TYPES[kind](load_matrix_csv(path)).entries
 
 
 _EDGE_INPUTS = {
@@ -327,7 +314,7 @@ _EDGE_INPUTS = {
 def test_load_matches_reference_parser(tmp_path, name, kind):
     p = tmp_path / "a.csv"
     p.write_bytes(_EDGE_INPUTS[name])
-    assert (_outcome(load_matrix_csv, p, kind)
+    assert (_outcome(_typed_load, p, kind)
             == _outcome(_reference_load, p, kind))
 
 
@@ -344,7 +331,7 @@ def test_load_reads_well_formed_files_without_per_cell_parse(tmp_path,
                  "spaces and tabs around cells", "CRLF endings", "single row",
                  "single column", "only comments"):
         p.write_bytes(_EDGE_INPUTS[name])
-        assert (_outcome(load_matrix_csv, p, "traffic")
+        assert (_outcome(_typed_load, p, "traffic")
                 == _outcome(_reference_load, p, "traffic")), name
 
 
@@ -355,7 +342,7 @@ def test_load_matches_reference_on_random_floats(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("\n".join(",".join(repr(v) for v in row)
                            for row in arr.tolist()) + "\n")
-    assert (_outcome(load_matrix_csv, p, "traffic")
+    assert (_outcome(_typed_load, p, "traffic")
             == _outcome(_reference_load, p, "traffic"))
 
 
@@ -363,7 +350,7 @@ def test_load_non_utf8_is_parse_error(tmp_path):
     p = tmp_path / "a.csv"
     p.write_bytes(b"1,2\n3,\xff\n")
     with pytest.raises(ParseError, match="not UTF-8"):
-        load_matrix_csv(p, "traffic")
+        load_matrix_csv(p)
 
 
 def test_parse_config_file_non_utf8(tmp_path):
@@ -401,5 +388,4 @@ def test_write_holds_one_row_of_python_floats(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    np.testing.assert_array_equal(load_matrix_csv(tmp_path / "a.csv",
-                                                  "traffic"), arr)
+    np.testing.assert_array_equal(load_matrix_csv(tmp_path / "a.csv"), arr)

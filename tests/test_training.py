@@ -79,15 +79,17 @@ def _model(rng, n=6, k=3, T=15, lags=(1, 2), m=4):
 # ----------------------------------------------------------------- config
 
 def test_config_validation():
-    TrainConfig(rank=3).validate()
+    # a TrainConfig checks its fields when it is made
+    TrainConfig(rank=3)
     with pytest.raises(ConfigError):
-        TrainConfig(rank=0).validate()
+        TrainConfig(rank=0)
     with pytest.raises(ConfigError):
-        TrainConfig(rank=2, beta_temporal=1.5).validate()
+        TrainConfig(rank=2, beta_temporal=1.5)
     with pytest.raises(ConfigError):
-        TrainConfig(rank=2, beta_ortho=-0.1).validate()
+        TrainConfig(rank=2, beta_ortho=-0.1)
     with pytest.raises(ConfigError):
-        TrainConfig(rank=2, q_max=0).validate()
+        TrainConfig(rank=2, q_max=0)
+    assert not hasattr(TrainConfig, "validate")
 
 
 def test_momentum_schedule():
