@@ -46,7 +46,8 @@ def estimate_latent(link_flows, model: FactorModel) -> np.ndarray:
     number.  It runs from D max(lstsq(C, Y), 0) for WINDOW_ITERS steps unless
     the fit reaches 0, and returns D^-1 times the step of best data fit,
     which fits Y no worse than the clipped least-squares start, up to
-    WINDOW_NOISE ||Y||^2.  Windows of max_lag columns or fewer have no AR
+    WINDOW_NOISE ||Y||^2; raises NumericalFailure if ||Y||^2, D or lip
+    overflows.  Windows of max_lag columns or fewer have no AR
     residual, so each column is fitted as it would be alone.  At info level
     it logs the steps, the relative data fit ||Y - C H||^2 / ||Y||^2, the
     penalized objective and the gradient-mapping ratio of the result to the
@@ -64,7 +65,12 @@ def estimate_latent(link_flows, model: FactorModel) -> np.ndarray:
         return np.zeros((compact.shape[1], y.shape[1]))
     h0 = np.maximum(np.linalg.lstsq(compact, y, rcond=None)[0], 0.0)
     lag_set = model.lag_set if y.shape[1] > model.lag_set.max_lag else LagSet()
-    d, grad, err, lip = _scaled_block(y, compact, model, lag_set)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, grad, err, lip = _scaled_block(y, compact, model, lag_set)
+        yy = float(np.vdot(y, y))
+    if not (np.isfinite(d).all() and np.isfinite(lip) and np.isfinite(yy)):
+        raise NumericalFailure("window fit: ||Y||^2, the column norms of A W "
+                               "or the step bound overflow float64")
     g0 = d[:, None] * h0
     g, iters = _nesterov_loop(g0, grad, err, lip, WINDOW_ITERS,
                               noise=WINDOW_NOISE)
@@ -77,7 +83,7 @@ def estimate_latent(link_flows, model: FactorModel) -> np.ndarray:
                     "of ||Y||^2, penalized objective %.6e, gradient mapping "
                     "%.3e of the start's", y.shape[1], iters,
                     " (cap reached)" if iters == WINDOW_ITERS else "",
-                    fit / max(float(np.vdot(y, y)), 1e-300), fit + penalty,
+                    fit / max(yy, 1e-300), fit + penalty,
                     _mapping_norm(g, grad, lip)
                     / max(_mapping_norm(g0, grad, lip), 1e-300))
     return h

@@ -188,6 +188,16 @@ def lag_designs(latent: np.ndarray, lag_set: LagSet) -> np.ndarray:
     return designs
 
 
+def ar_normal_equations(latent: np.ndarray, lag_set: LagSet) -> tuple:
+    """(G, t, ||h_p||^2) of every latent row's AR least-squares fit: the
+    Grams G_p = D_p D_p^T and targets t_p = D_p h_p^T of its lag design D_p
+    (lag_designs), without keeping the k x |lags| x T designs."""
+    designs = lag_designs(latent, lag_set)
+    grams = designs @ designs.transpose(0, 2, 1)
+    targets = (designs @ latent[:, :, None])[:, :, 0]
+    return grams, targets, np.einsum("pt,pt->p", latent, latent)
+
+
 @dataclass(frozen=True)
 class FactorModel:
     """Trained factors, their penalty weights and the cached compact routing."""

@@ -7,7 +7,7 @@ import logging
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure, ShapeError
-from .factors import LagSet, lag_designs
+from .factors import LagSet, ar_normal_equations
 
 logger = logging.getLogger(__name__)
 
@@ -82,19 +82,17 @@ def init_factors_svd(x, rank: int):
 
 
 def init_lag_weights(latent, lag_set: LagSet) -> np.ndarray:
-    """Seed AR weights per latent row by a rectified pseudoinverse fit.
+    """Seed AR weights per latent row by a rectified least-squares fit.
 
-    omega_p = max(0, h_p @ pinv(design_p)) with singular values below
-    1e-12 * sigma_max treated as zero.
+    omega_p = max(0, pinv(G_p) t_p) from the AR block's normal equations
+    (ar_normal_equations): the minimum-norm fit of h_p by w_p D_p, clipped
+    at 0.  The Gram squares the design's condition number, so the cut-off
+    sits at the Gram's rounding floor: design singular values below
+    sqrt(1e-15) ~ 3.2e-8 of the largest count as zero.
     """
     latent = np.asarray(latent, dtype=float)
     if latent.ndim != 2:
         raise ShapeError("latent must be 2-D")
-    weights = np.zeros((latent.shape[0], len(lag_set)))
-    if len(lag_set) == 0:
-        return weights
-    for p, row in enumerate(latent):
-        # an all-zero design has the zero pseudoinverse, so zero weights
-        design = lag_designs(row[None], lag_set)[0]
-        weights[p] = np.maximum(row @ np.linalg.pinv(design, rcond=1e-12), 0.0)
-    return weights
+    grams, targets, _ = ar_normal_equations(latent, lag_set)
+    solve = np.linalg.pinv(grams, rcond=1e-15, hermitian=True)
+    return np.maximum((solve @ targets[:, :, None])[:, :, 0], 0.0)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import NumericalFailure, ShapeError, UsageError
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,13 @@ class ErrorVector:
         return self.values[keep]
 
 
+def _exponent(a, axis=None):
+    """e per slice along axis with a / 2^e's largest magnitude in [0.5, 1):
+    an exact scaling under which squares cannot overflow."""
+    return np.frexp(np.maximum(a.max(axis=axis, keepdims=True, initial=0.0),
+                               -a.min(axis=axis, keepdims=True, initial=0.0)))[1]
+
+
 def _relative_errors(x_true, x_est, axis) -> ErrorVector:
     x_true = np.asarray(x_true, dtype=float)
     x_est = np.asarray(x_est, dtype=float)
@@ -31,11 +38,18 @@ def _relative_errors(x_true, x_est, axis) -> ErrorVector:
         raise ShapeError(f"shape mismatch {x_true.shape} != {x_est.shape}")
     if x_true.ndim != 2:
         raise ShapeError("expected 2-D matrices")
-    num = np.linalg.norm(x_est - x_true, axis=axis)
-    den = np.linalg.norm(x_true, axis=axis)
+    e_den = _exponent(x_true, axis)
+    den = np.linalg.norm(np.ldexp(x_true, -e_den), axis=axis)
+    diff = x_est - x_true
+    e_num = _exponent(diff, axis)
+    num = np.linalg.norm(np.ldexp(diff, -e_num, out=diff), axis=axis)
     undefined = den == 0
     values = np.full(num.shape, np.nan)
     np.divide(num, den, out=values, where=~undefined)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, (e_num - e_den).reshape(-1))
+    if np.isinf(values).any():
+        raise NumericalFailure("a relative error overflows float64")
     return ErrorVector(values, tuple(int(i) for i in np.flatnonzero(undefined)))
 
 
@@ -54,13 +68,12 @@ def summary_stats(errors: ErrorVector) -> dict:
     vals = errors.defined_values()
     if vals.size == 0:
         raise UsageError("no defined error values to summarize")
-    return {
-        "min": float(vals.min()),
-        "max": float(vals.max()),
-        "mean": float(vals.mean()),
-        "median": float(np.median(vals)),
-        "std": float(vals.std()),
-    }
+    # over a power of two, the sums and squares cannot overflow
+    e = _exponent(vals)
+    scaled = np.ldexp(vals, -e)
+    stats = {"min": scaled.min(), "max": scaled.max(), "mean": scaled.mean(),
+             "median": np.median(scaled), "std": scaled.std()}
+    return {key: float(np.ldexp(value, e[0])) for key, value in stats.items()}
 
 
 def cdf_points(errors: ErrorVector) -> list:

@@ -55,7 +55,6 @@ class TrafficMatrix:
 
     entries: np.ndarray
     mask: np.ndarray | None = None
-    timestamps: np.ndarray | None = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.entries, dtype=float)
@@ -75,16 +74,8 @@ class TrafficMatrix:
             observed = np.ones(arr.shape, dtype=bool)
         _require_cells((arr < 0) & observed, arr,
                        "observed traffic must be >= 0")
-        ts = self.timestamps
-        if ts is None:
-            ts = np.arange(arr.shape[1])
-        else:
-            ts = np.ascontiguousarray(ts)
-            if ts.shape != (arr.shape[1],):
-                raise ShapeError("timestamps length must match column count")
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "timestamps", ts)
 
     @property
     def n_flows(self) -> int:
@@ -124,10 +115,6 @@ class SyntheticScenario:
 
     routing: RoutingMatrix
     traffic: TrafficMatrix
-    planted_rank: int
-    planted_lags: LagSet
-    noise_level: float
-    seed: int
     true_spatial: np.ndarray = field(repr=False, default=None)
     true_latent: np.ndarray = field(repr=False, default=None)
 
@@ -148,13 +135,13 @@ def split_train_test(traffic: TrafficMatrix, train_t: int):
         raise ConfigError(f"train_t must lie in (0, {T}), got {train_t}")
     def cut(lo, hi):
         mask = traffic.mask[:, lo:hi] if traffic.mask is not None else None
-        return TrafficMatrix(traffic.entries[:, lo:hi], mask=mask,
-                             timestamps=traffic.timestamps[lo:hi])
+        return TrafficMatrix(traffic.entries[:, lo:hi], mask=mask)
     return cut(0, train_t), cut(train_t, T)
 
 
-def _random_connected_graph(n_nodes: int, rng) -> list:
-    """Erdos-Renyi undirected graph, redrawn until connected."""
+def _random_connected_graph(n_nodes: int, rng) -> tuple:
+    """Erdos-Renyi undirected graph, redrawn until connected: its edges and
+    the neighbour lists of its nodes."""
     edge_prob = 0.45
     for _ in range(1000):
         upper = rng.random((n_nodes, n_nodes)) < edge_prob
@@ -172,7 +159,7 @@ def _random_connected_graph(n_nodes: int, rng) -> list:
                     seen.add(w)
                     stack.append(w)
         if len(seen) == n_nodes:
-            return edges
+            return edges, adj
     raise ConfigError(f"could not draw a connected graph on {n_nodes} nodes")
 
 
@@ -224,11 +211,7 @@ def generate_synthetic(n_routers: int, planted_rank: int, n_timestamps: int,
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
-    edges = _random_connected_graph(n_routers, rng)
-    adj = {v: [] for v in range(n_routers)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    edges, adj = _random_connected_graph(n_routers, rng)
     # two directed links per undirected edge, in sorted edge order
     link_index = {}
     for a, b in sorted(edges):
@@ -272,13 +255,5 @@ def generate_synthetic(n_routers: int, planted_rank: int, n_timestamps: int,
     if noise_level > 0:
         x = np.clip(x * (1.0 + noise_level * rng.standard_normal(x.shape)), 0.0, None)
 
-    return SyntheticScenario(
-        routing=RoutingMatrix(routing),
-        traffic=TrafficMatrix(x),
-        planted_rank=planted_rank,
-        planted_lags=planted_lags,
-        noise_level=noise_level,
-        seed=seed,
-        true_spatial=spatial,
-        true_latent=latent,
-    )
+    return SyntheticScenario(RoutingMatrix(routing), TrafficMatrix(x),
+                             true_spatial=spatial, true_latent=latent)

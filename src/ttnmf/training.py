@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure, ShapeError, UsageError
 from .factors import (FactorModel, LagSet, RegularizationWeights,
-                      build_temporal_graph, data_fit, lag_designs,
+                      ar_normal_equations, build_temporal_graph, data_fit,
                       ortho_penalty_value, penalty_terms, routing_array,
                       temporal_penalty_gradient)
 # build_temporal_graph is the paper-form oracle; training never calls it, and
@@ -153,9 +153,9 @@ def _nesterov_loop(b0, grad, err, lip, q_max, rel_tol=None, noise=0.0):
 
 
 def _positive(lip):
-    """Step-size denominators, 1.0 where the curvature vanishes
-    (elementwise)."""
-    return np.where(lip > 0, lip, 1.0)
+    """Step-size denominators, 1.0 where the curvature vanishes (elementwise):
+    below the smallest normal float, whose reciprocal step would overflow."""
+    return np.where(lip >= np.finfo(float).tiny, lip, 1.0)
 
 
 def _spatial_block(x, h, weights, a):
@@ -241,12 +241,10 @@ def _ar_block(h, lag_set, lam):
     lip is lambda_t ||G_p||_2 and err is the full-length AR residual
     ||h_p - w_p D_p||^2, zero-padded prefix included, from the Grams:
     ||h_p||^2 + <w_p, G_p w_p - 2 t_p>, clamped at 0 like the other blocks'.
-    Only G and t outlive the call, not the k x len(lag_set) x T designs.
+    G, t and ||h_p||^2 come from ar_normal_equations.
     """
-    designs = lag_designs(h, lag_set)
-    grams = designs @ designs.transpose(0, 2, 1)
-    targets = (designs @ h[:, :, None])[:, :, 0].T
-    hh = np.einsum("pt,pt->p", h, h)
+    grams, targets, hh = ar_normal_equations(h, lag_set)
+    targets = targets.T
     # one stacked SVD; each row's largest value is its ||G_p||_2, and 0 for
     # an empty lag set
     norms = np.linalg.svd(grams, compute_uv=False).max(axis=1, initial=0.0)

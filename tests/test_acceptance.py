@@ -147,8 +147,7 @@ def test_criterion_6_masked_training_stays_within_degradation_budget():
     full_tre = _planted_mean_tre(PLANTED_SEED)
     rng = np.random.default_rng(MASK_SEED)
     mask = (rng.random(train_tm.entries.shape) >= 0.2).astype(float)
-    masked_tm = TrafficMatrix(train_tm.entries * mask, mask=mask,
-                              timestamps=train_tm.timestamps)
+    masked_tm = TrafficMatrix(train_tm.entries * mask, mask=mask)
     masked_tre = _planted_mean_tre(PLANTED_SEED, traffic=masked_tm)
     assert masked_tre <= 1.5 * full_tre
 

@@ -897,6 +897,54 @@ def test_rank_0_archive_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("factor", ["spatial", "ar_weights"])
+def test_overflowing_window_fit_exits_3(tmp_path, capsys, factor):
+    # a validly signed archive with the factor scaled by 1e300: the column
+    # norms of A W, or the latent step bound (1 + sum |w|)^2, overflow
+    # float64, which ends estimate in one line and no numpy warning
+    import dataclasses
+
+    from ttnmf import FactorModel, save_model
+    data, run = tmp_path / "data", tmp_path / "run"
+    _synth(data, "--split", "40")
+    assert _train(data, run, "--split", "40") == 0
+    archive = load_model(run / "model.ttnmf")
+    m = archive.model
+    factors = {"spatial": m.spatial, "latent": m.latent,
+               "ar_weights": m.ar_weights}
+    factors[factor] = 1e300 * factors[factor]
+    big = tmp_path / "big.ttnmf"
+    save_model(big, dataclasses.replace(archive, model=FactorModel.from_factors(
+        **factors, lag_set=m.lag_set, routing=archive.routing,
+        weights=m.weights)))
+    capsys.readouterr()
+    argv = ["estimate", "--out", str(run), "--model", str(big),
+            "--linkflows", str(data / "linkflows_test.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+        assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "ttnmf: window fit: ||Y||^2, the column norms of A W or the step "
+        "bound overflow float64\n")
+
+
+def test_link_flows_whose_square_overflows_exit_3(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    _synth(data, "--split", "40")
+    assert _train(data, run, "--split", "40") == 0
+    links = load_matrix_csv(data / "linkflows_test.csv")
+    links[0, 0] = 1e308
+    big = tmp_path / "big.csv"
+    write_matrix_csv(big, links)
+    capsys.readouterr()
+    argv = ["estimate", "--out", str(run), "--model",
+            str(run / "model.ttnmf"), "--linkflows", str(big)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("ttnmf: window fit: ||Y||^2")
+
+
 @pytest.mark.parametrize("scale", [1e153, 1e200])
 def test_overflowing_traffic_exits_3(tmp_path, capsys, scale):
     # finite, nonnegative traffic whose SVD-seed Gram matrix overflows; at

@@ -237,6 +237,21 @@ def test_lag_weights_zero_row_and_empty_set():
     assert out.shape == (3, 0)
 
 
+def test_lag_weights_of_constant_rows_split_evenly():
+    # a constant row's lag design has rank 1, and the minimum-norm fit puts
+    # 1/|lags| on each lag; a Gram cut-off below the Gram's rounding floor
+    # would fit that rounding instead
+    for lags in ((1, 2), (1, 2, 3)):
+        got = init_lag_weights(np.full((2, 40), 3.7), LagSet(lags))
+        np.testing.assert_allclose(got, 1.0 / len(lags), rtol=1e-12)
+    # a row constant to 1e-9 relative is fitted as a constant one, not by
+    # weights that blow its noise up
+    row = 3.7 + 1e-9 * np.random.default_rng(7).standard_normal((1, 40))
+    for lags in ((1, 2), (1, 2, 3)):
+        got = init_lag_weights(row, LagSet(lags))
+        np.testing.assert_allclose(got, 1.0 / len(lags), rtol=1e-6)
+
+
 def test_lag_weights_nonnegative():
     # an anti-correlated row would fit a negative weight; projection clips it
     latent = np.array([[1.0, -0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])

@@ -1,10 +1,12 @@
 """Relative error metrics, summaries and CDF points."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ttnmf import ErrorVector, cdf_points, sre, summary_stats, tre
-from ttnmf.errors import ShapeError, UsageError
+from ttnmf.errors import NumericalFailure, ShapeError, UsageError
 
 
 def test_sre_exact_estimate_is_zero():
@@ -47,6 +49,32 @@ def test_metrics_scale_invariance():
     base = sre(x_true, x_est).values
     scaled = sre(10.0 * x_true, 10.0 * x_est).values
     np.testing.assert_allclose(scaled, base, rtol=1e-12)
+
+
+def test_metrics_at_extreme_magnitudes_do_not_overflow():
+    # each row or column is taken over a power of two, an exact scaling, so
+    # the squares in the norms cannot overflow; a numpy warning fails
+    rng = np.random.default_rng(3)
+    x_true = rng.random((4, 11)) + 0.1
+    x_est = rng.random((4, 11))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, axis in ((sre, 1), (tre, 0)):
+            base = f(x_true, x_est).values
+            big = f(2.0 ** 1000 * x_true, 2.0 ** 1000 * x_est).values
+            assert big.tobytes() == base.tobytes()
+            # an estimate 2^900 too large is off by about 2^900
+            far = f(x_true, 2.0 ** 900 * x_est).values
+            np.testing.assert_allclose(
+                far, 2.0 ** 900 * np.linalg.norm(x_est, axis=axis)
+                / np.linalg.norm(x_true, axis=axis), rtol=1e-12)
+        stats = summary_stats(ErrorVector(np.array([1e300, 2e300, 3e300]), ()))
+        assert stats["mean"] == stats["median"] == 2e300
+        np.testing.assert_allclose(stats["std"], np.sqrt(2.0 / 3.0) * 1e300,
+                                   rtol=1e-15)
+        # a relative error beyond float64 is a numerical failure
+        with pytest.raises(NumericalFailure, match="overflows float64"):
+            tre(np.array([[1e-300]]), np.array([[1e300]]))
 
 
 def test_zero_true_row_marked_undefined():

@@ -3,7 +3,7 @@
 Covers:
   - routing/traffic/mask/link-flow validation, non-finite cells included
   - compute_link_flows against a triple-loop oracle
-  - train/test splitting (shapes, timestamps, mask slicing)
+  - train/test splitting (shapes, mask slicing)
   - generator determinism, shapes, path coverage, planted structure,
     noiseless exactness and the multiplicative-noise level
 """
@@ -78,13 +78,6 @@ def test_traffic_mask_validation():
         TrafficMatrix(np.ones((1, 2)), mask=np.ones((2, 2)))
 
 
-def test_traffic_default_timestamps():
-    tm = TrafficMatrix(np.ones((2, 4)))
-    np.testing.assert_array_equal(tm.timestamps, [0, 1, 2, 3])
-    with pytest.raises(ShapeError):
-        TrafficMatrix(np.ones((2, 4)), timestamps=np.arange(3))
-
-
 def test_link_flows_reject_negative():
     with pytest.raises(ValidationError):
         LinkFlowMatrix(np.array([[1.0, -2.0]]))
@@ -128,13 +121,11 @@ def test_compute_link_flows_shape_mismatch():
 
 # ------------------------------------------------------------------ split
 
-def test_split_shapes_and_timestamps():
+def test_split_shapes():
     tm = TrafficMatrix(np.arange(20, dtype=float).reshape(2, 10))
     train, test = split_train_test(tm, 7)
     assert train.entries.shape == (2, 7)
     assert test.entries.shape == (2, 3)
-    np.testing.assert_array_equal(train.timestamps, np.arange(7))
-    np.testing.assert_array_equal(test.timestamps, np.arange(7, 10))
     np.testing.assert_array_equal(
         np.hstack([train.entries, test.entries]), tm.entries)
 

@@ -30,6 +30,7 @@ Covers:
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -594,6 +595,21 @@ def test_train_fits_planted_noiseless_data(monkeypatch):
     x = scen.traffic.entries
     rel = np.linalg.norm(x - model.spatial @ model.latent) / np.linalg.norm(x)
     assert rel <= 1e-3
+
+
+def test_train_with_subnormal_lambda_warns_nothing():
+    # beta_h = 1e-320 tunes a subnormal lambda_t, whose AR step bound has a
+    # reciprocal beyond float64; that curvature counts as vanishing
+    scen = generate_synthetic(n_routers=4, planted_rank=2, n_timestamps=60,
+                              planted_lags=LagSet([1, 2]), noise_level=0.05,
+                              seed=7)
+    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]), beta_temporal=1e-320,
+                      q_max=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, report = train(scen.traffic, scen.routing, cfg)
+    assert 0.0 < model.weights.lambda_temporal < np.finfo(float).tiny
+    assert np.isfinite(model.ar_weights).all()
 
 
 def test_train_without_penalties_is_plain_nmf():
