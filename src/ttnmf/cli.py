@@ -268,7 +268,7 @@ def _cmd_train(args) -> int:
     }
     # a failed or interrupted write leaves no partial output behind
     with _replaced_on_success(out / "model.ttnmf") as tmp:
-        save_model(tmp, ModelArchive(model, routing, provenance))
+        save_model(tmp, ModelArchive(model, provenance))
     with _text_replaced_on_success(out / "trace.csv") as fh:
         fh.write("q,e_q,f_q,temporal,ortho,spatial_iters,latent_iters,"
                  "ar_iters,wall_ms\n")
@@ -288,14 +288,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    archive = load_model(_require_file(args.model, "model"))
+    model = load_model(_require_file(args.model, "model")).model
     links = _read(LinkFlowMatrix, (args.linkflows, "linkflows"))
-    if links.n_links != archive.routing.n_links:
+    n_links = model.routing.shape[0]
+    if links.n_links != n_links:
         raise ShapeError(
             f"{args.linkflows}: link-flow matrix has {links.n_links} rows "
-            f"but the model was trained with {archive.routing.n_links} links")
+            f"but the model was trained with {n_links} links")
     config = EstimatorConfig(r_max_em=args.r_max_em, delta_em=args.delta_em)
-    estimates = estimate_od_flows(links, archive.model, archive.routing, config)
+    estimates = estimate_od_flows(links, model, config)
     out = _outdir(args)
     with _replaced_on_success(out / "estimated.csv") as tmp:
         write_matrix_csv(tmp, estimates)

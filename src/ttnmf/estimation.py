@@ -173,15 +173,16 @@ def refine_em(x0, link_flows, routing,
     return x[:, 0] if vector else x
 
 
-def estimate_od_flows(link_flows, model: FactorModel, routing,
+def estimate_od_flows(link_flows, model: FactorModel,
                       config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
-    """The latent window fit, then EM refinement of W H, for links x T.
+    """The latent window fit, then EM refinement of W H against the model's
+    routing, for links x T.
 
     Raises ValidationError naming the first negative or non-finite link-flow
     cell, and NumericalFailure if an estimate is not finite.
     """
     y = LinkFlowMatrix(getattr(link_flows, "entries", link_flows)).entries
-    x = refine_em(model.spatial @ estimate_latent(y, model), y, routing,
+    x = refine_em(model.spatial @ estimate_latent(y, model), y, model.routing,
                   config)
     bad = ~np.isfinite(x).all(axis=0)
     if bad.any():
@@ -190,8 +191,8 @@ def estimate_od_flows(link_flows, model: FactorModel, routing,
     return x
 
 
-def estimate_od_flow(link_flows, model: FactorModel, routing,
+def estimate_od_flow(link_flows, model: FactorModel,
                      config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     """estimate_od_flows on a window of one column."""
-    return estimate_od_flows(np.reshape(link_flows, (-1, 1)), model, routing,
+    return estimate_od_flows(np.reshape(link_flows, (-1, 1)), model,
                              config)[:, 0]

@@ -200,13 +200,14 @@ def ar_normal_equations(latent: np.ndarray, lag_set: LagSet) -> tuple:
 
 @dataclass(frozen=True)
 class FactorModel:
-    """Trained factors, their penalty weights and the cached compact routing."""
+    """Trained factors, the routing they were trained against and their
+    penalty weights."""
 
     spatial: np.ndarray         # n x k
     latent: np.ndarray          # k x T
     ar_weights: np.ndarray      # k x len(lag_set)
     lag_set: LagSet
-    compact_routing: np.ndarray  # m x k, equals routing @ spatial
+    routing: np.ndarray         # m x n
     weights: RegularizationWeights = RegularizationWeights()
 
     @classmethod
@@ -235,8 +236,12 @@ class FactorModel:
                 raise ValidationError(f"{name} factor has non-finite entries")
             if arr.size and arr.min() < 0:
                 raise ValidationError(f"{name} factor has negative entries")
-        return cls(spatial, latent, ar_weights, lag_set, routing_arr @ spatial,
-                   weights)
+        return cls(spatial, latent, ar_weights, lag_set, routing_arr, weights)
+
+    @property
+    def compact_routing(self) -> np.ndarray:
+        """The m x k compact routing matrix A W."""
+        return self.routing @ self.spatial
 
     @property
     def rank(self) -> int:
@@ -369,23 +374,17 @@ def ortho_penalty_value(compact_routing) -> float:
     return float(np.vdot(gram, gram))
 
 
-def objective_terms(x, model: FactorModel, weights: RegularizationWeights,
-                    routing) -> tuple:
-    """The three terms of the regularized objective: (data fit, lambda_t *
-    temporal penalty, lambda_o * orthogonality penalty); a term whose lambda
-    is 0 is 0.
-
-    The compact routing matrix is recomputed from `routing` and the current
-    spatial factor so perturbed models evaluate consistently.
-    """
+def objective_terms(x, model: FactorModel) -> tuple:
+    """The three terms of the regularized objective under model.weights:
+    (data fit, lambda_t * temporal penalty, lambda_o * orthogonality
+    penalty); a term whose lambda is 0 is 0."""
     x = np.asarray(x, dtype=float)
-    routing_arr = routing_array(routing)
     if x.shape != (model.n_flows, model.n_timestamps):
         raise ShapeError(
             f"data shape {x.shape} != ({model.n_flows}, {model.n_timestamps})")
     return (data_fit(x, model.spatial, model.latent),
             *penalty_terms(model.spatial, model.latent, model.ar_weights,
-                           model.lag_set, weights, routing_arr))
+                           model.lag_set, model.weights, model.routing))
 
 
 def data_fit(x, spatial, latent) -> float:
@@ -410,8 +409,7 @@ def penalty_terms(spatial, latent, ar_weights, lag_set: LagSet,
     return temporal, ortho
 
 
-def objective_value(x, model: FactorModel, weights: RegularizationWeights,
-                    routing) -> float:
+def objective_value(x, model: FactorModel) -> float:
     """Full regularized objective: the sum of objective_terms."""
-    fit, temporal, ortho = objective_terms(x, model, weights, routing)
+    fit, temporal, ortho = objective_terms(x, model)
     return fit + temporal + ortho

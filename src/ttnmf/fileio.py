@@ -130,12 +130,11 @@ def sha256_hex(data) -> str:
 
 @dataclass(frozen=True)
 class ModelArchive:
-    """Everything needed to run estimation, plus training provenance."""
+    """A trained model, which carries its routing and penalty weights, plus
+    training provenance."""
 
     model: FactorModel
-    routing: RoutingMatrix
     provenance: dict = field(default_factory=dict)
-    version: int = ARCHIVE_VERSION
 
 
 def save_model(path, archive: ModelArchive) -> None:
@@ -147,9 +146,8 @@ def save_model(path, archive: ModelArchive) -> None:
     m = archive.model
     lags = ",".join(str(v) for v in m.lag_set.lags) or "-"
     header = [
-        f"{ARCHIVE_MAGIC} {archive.version}",
-        f"dims {m.n_flows} {m.rank} {m.n_timestamps} "
-        f"{archive.routing.n_links}",
+        f"{ARCHIVE_MAGIC} {ARCHIVE_VERSION}",
+        f"dims {m.n_flows} {m.rank} {m.n_timestamps} {m.routing.shape[0]}",
         f"lags {lags}",
     ] + [f"{key} {format_float(getattr(m.weights, key))}" for key in _WEIGHTS]
     for key in sorted(archive.provenance):
@@ -158,7 +156,7 @@ def save_model(path, archive: ModelArchive) -> None:
         ("spatial", m.spatial),
         ("latent", m.latent),
         ("ar_weights", m.ar_weights),
-        ("routing", archive.routing.entries),
+        ("routing", m.routing),
     ]
     payload = []
     for name, arr in matrices:
@@ -281,10 +279,9 @@ def load_model(path) -> ModelArchive:
     weights = _parse(path, "penalty weights", lambda f: RegularizationWeights(
         **{key: float(f[key]) for key in _WEIGHTS}), fields)
     try:
-        routing = RoutingMatrix(matrices["routing"])
         model = FactorModel.from_factors(
             matrices["spatial"], matrices["latent"], matrices["ar_weights"],
-            lag_set, routing, weights)
+            lag_set, RoutingMatrix(matrices["routing"]), weights)
     except (ShapeError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
-    return ModelArchive(model=model, routing=routing, provenance=provenance)
+    return ModelArchive(model=model, provenance=provenance)

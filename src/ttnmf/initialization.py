@@ -20,7 +20,7 @@ def _leading_svd(x, rank: int):
     x projected on one of them, never the square root of a rounded
     eigenvalue, and the vector on the other side is that projection over s,
     or 0 where s is 0.  Raises NumericalFailure if the Gram matrix
-    overflows.
+    overflows, or underflows to zero although x is not zero.
     """
     wide = x.shape[0] <= x.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -28,6 +28,9 @@ def _leading_svd(x, rank: int):
     if not np.isfinite(gram).all():
         raise NumericalFailure("SVD seed: the data's Gram matrix overflows "
                                "float64")
+    if not gram.any() and x.any():
+        raise NumericalFailure("SVD seed: the data's Gram matrix underflows "
+                               "to zero")
     vecs = np.linalg.eigh(gram)[1][:, ::-1][:, :rank]
     proj = vecs.T @ x if wide else (x @ vecs).T
     s = np.sqrt(np.einsum("ij,ij->i", proj, proj))
@@ -87,12 +90,14 @@ def init_lag_weights(latent, lag_set: LagSet) -> np.ndarray:
     omega_p = max(0, pinv(G_p) t_p) from the AR block's normal equations
     (ar_normal_equations): the minimum-norm fit of h_p by w_p D_p, clipped
     at 0.  The Gram squares the design's condition number, so the cut-off
-    sits at the Gram's rounding floor: design singular values below
-    sqrt(1e-15) ~ 3.2e-8 of the largest count as zero.
+    sits at the Gram's rounding floor, T eps of the largest eigenvalue for
+    inner products of length T: design singular values below sqrt(T eps)
+    of the largest count as zero.
     """
     latent = np.asarray(latent, dtype=float)
     if latent.ndim != 2:
         raise ShapeError("latent must be 2-D")
     grams, targets, _ = ar_normal_equations(latent, lag_set)
-    solve = np.linalg.pinv(grams, rcond=1e-15, hermitian=True)
+    solve = np.linalg.pinv(grams, rcond=latent.shape[1] * np.finfo(float).eps,
+                           hermitian=True)
     return np.maximum((solve @ targets[:, :, None])[:, :, 0], 0.0)

@@ -259,11 +259,12 @@ def _ar_block(h, lag_set, lam):
     return grad, err, _positive(lam * norms)
 
 
-def _block(block, x, model, weights, a):
-    """(grad, err, lip) of one block, the other blocks held at `model`; the
-    AR block acts on model.ar_weights.T."""
+def _block(block, x, model):
+    """(grad, err, lip) of one block, the other blocks held at `model` and
+    under its weights; the AR block acts on model.ar_weights.T."""
+    weights = model.weights
     if block == "spatial":
-        return _spatial_block(x, model.latent, weights, a)
+        return _spatial_block(x, model.latent, weights, model.routing)
     if block == "latent":
         return _latent_block(x, model.spatial, model.ar_weights, model.lag_set,
                              weights)
@@ -272,11 +273,9 @@ def _block(block, x, model, weights, a):
     raise UsageError(f"unknown block {block!r}")
 
 
-def block_gradient(block: str, x, model: FactorModel,
-                   weights: RegularizationWeights, routing) -> np.ndarray:
+def block_gradient(block: str, x, model: FactorModel) -> np.ndarray:
     """Analytic gradient of the full objective with respect to one block."""
-    grad = _block(block, np.asarray(x, dtype=float), model, weights,
-                  routing_array(routing))[0]
+    grad = _block(block, np.asarray(x, dtype=float), model)[0]
     if block == "ar":
         return grad(model.ar_weights.T).T
     return grad(model.spatial if block == "spatial" else model.latent)

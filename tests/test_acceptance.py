@@ -40,7 +40,7 @@ def _planted_mean_tre(seed, traffic=None):
     cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)))
     model, _ = train(traffic if traffic is not None else train_tm,
                      scen.routing, cfg)
-    x_est = estimate_od_flows(y_test.entries, model, scen.routing)
+    x_est = estimate_od_flows(y_test.entries, model)
     return float(np.mean(tre(test_tm.entries, x_est).defined_values()))
 
 
@@ -76,9 +76,10 @@ def test_criterion_2_block_gradients_match_finite_differences():
         }
         x = rng.random((6, 15)) * 3
         model = FactorModel.from_factors(arrays["spatial"], arrays["latent"],
-                                         arrays["ar"], lag_set, routing)
+                                         arrays["ar"], lag_set, routing,
+                                         weights)
         for block, arr in arrays.items():
-            grad = block_gradient(block, x, model, weights, routing)
+            grad = block_gradient(block, x, model)
             fd = np.zeros_like(arr)
             for idx in np.ndindex(arr.shape):
                 for sign in (1.0, -1.0):
@@ -86,8 +87,8 @@ def test_criterion_2_block_gradients_match_finite_differences():
                     pert[block][idx] += sign * eps
                     m = FactorModel.from_factors(
                         pert["spatial"], pert["latent"], pert["ar"],
-                        lag_set, routing)
-                    fd[idx] += sign * objective_value(x, m, weights, routing)
+                        lag_set, routing, weights)
+                    fd[idx] += sign * objective_value(x, m)
             fd /= 2 * eps
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel <= 1e-5, block
@@ -138,7 +139,7 @@ def test_criterion_5_em_fixed_point_and_nonnegativity():
             rng.random((n, k)), rng.random((k, 20)), rng.random((k, 2)),
             LagSet((1, 2)), routing)
         y = rng.random(m) * rng.integers(0, 3)  # includes all-zero vectors
-        x_hat = estimate_od_flow(y, model, routing)
+        x_hat = estimate_od_flow(y, model)
         assert (x_hat >= 0).all(), trial
 
 
@@ -162,7 +163,7 @@ def test_criterion_7_regularizers_help_on_noisy_data():
             cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)),
                               beta_temporal=beta, beta_ortho=beta)
             model, _ = train(train_tm, scen.routing, cfg)
-            x_est = estimate_od_flows(y_test.entries, model, scen.routing)
+            x_est = estimate_od_flows(y_test.entries, model)
             means[beta].append(
                 float(np.mean(sre(test_tm.entries, x_est).defined_values())))
     assert np.mean(means[0.5]) <= np.mean(means[0.0])
@@ -188,7 +189,7 @@ def test_criterion_8_internet2_reproduction():
                       beta_temporal=0.2, beta_ortho=0.2)
     model, _ = train(train_tm, routing, cfg)
     y_test = routing.entries @ test_entries
-    x_est = estimate_od_flows(y_test, model, routing)
+    x_est = estimate_od_flows(y_test, model)
     mean_tre = float(np.mean(tre(test_entries, x_est).defined_values()))
     mean_sre = float(np.mean(sre(test_entries, x_est).defined_values()))
     assert abs(mean_tre - 0.18) <= 0.05

@@ -502,7 +502,7 @@ def _tiny_archive(path):
         RegularizationWeights(0.1, 0.2, 0.2, 0.2))
     prov = {key: "ab" * 32 for key in
             ("config_sha256", "routing_sha256", "traffic_sha256")}
-    save_model(path, ModelArchive(model, routing, prov))
+    save_model(path, ModelArchive(model, prov))
     return routing
 
 
@@ -882,10 +882,10 @@ def test_rank_0_archive_exits_2(tmp_path, capsys):
                        RegularizationWeights, save_model)
     routing = _tiny_archive(tmp_path / "good.ttnmf")
     empty = FactorModel(np.zeros((3, 0)), np.zeros((0, 4)), np.zeros((0, 2)),
-                        LagSet((1, 2)), np.zeros((2, 0)),
+                        LagSet((1, 2)), routing.entries,
                         RegularizationWeights(0.1, 0.2, 0.2, 0.2))
     model = tmp_path / "model.ttnmf"
-    save_model(model, ModelArchive(empty, routing))
+    save_model(model, ModelArchive(empty))
     assert b"\ndims 3 0 4 2\n" in model.read_bytes()
     links = tmp_path / "links.csv"
     write_matrix_csv(links, routing.entries @ np.ones((3, 2)))
@@ -915,7 +915,7 @@ def test_overflowing_window_fit_exits_3(tmp_path, capsys, factor):
     factors[factor] = 1e300 * factors[factor]
     big = tmp_path / "big.ttnmf"
     save_model(big, dataclasses.replace(archive, model=FactorModel.from_factors(
-        **factors, lag_set=m.lag_set, routing=archive.routing,
+        **factors, lag_set=m.lag_set, routing=m.routing,
         weights=m.weights)))
     capsys.readouterr()
     argv = ["estimate", "--out", str(run), "--model", str(big),
@@ -960,3 +960,21 @@ def test_overflowing_traffic_exits_3(tmp_path, capsys, scale):
         assert main(argv) == 3
     assert capsys.readouterr().err == (
         "ttnmf: SVD seed: the data's Gram matrix overflows float64\n")
+
+
+@pytest.mark.parametrize("scale", [1e-165, 1e-300])
+def test_underflowing_traffic_exits_3(tmp_path, capsys, scale):
+    # finite, nonzero traffic whose SVD-seed Gram matrix underflows to zero
+    # would train an all-zero model; at 1e-162 the same data trains
+    data, small = tmp_path / "data", tmp_path / "small.csv"
+    _synth(data)
+    write_matrix_csv(small, scale * load_matrix_csv(data / "traffic.csv"))
+    argv = ["train", "--out", str(tmp_path / "run"),
+            "--routing", str(data / "routing.csv"), "--traffic", str(small),
+            "--rank", "2", "--lags", "1,2", "--q-max", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+        assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "ttnmf: SVD seed: the data's Gram matrix underflows to zero\n")
+    assert not (tmp_path / "run" / "model.ttnmf").exists()

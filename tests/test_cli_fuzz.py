@@ -111,7 +111,7 @@ def _mutate_archive(path, out, rng):
         name = rng.choice(sorted(factors))
         factors[name] = SCALES[rng.integers(len(SCALES))] * factors[name]
         model = FactorModel.from_factors(
-            **factors, lag_set=m.lag_set, routing=archive.routing,
+            **factors, lag_set=m.lag_set, routing=m.routing,
             weights=m.weights)
         save_model(out, dataclasses.replace(archive, model=model))
 

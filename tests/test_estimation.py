@@ -568,13 +568,13 @@ def test_od_flow_consistent_case_recovers_exactly():
     h_star = np.array([1.5, 2.0, 0.25])
     x_star = model.spatial @ h_star
     y = model.compact_routing @ h_star
-    got = estimate_od_flow(y, model, np.eye(6))
+    got = estimate_od_flow(y, model)
     np.testing.assert_allclose(got, x_star, atol=1e-8)
 
 
 def test_od_flow_zero_observation():
     model = _orthonormal_model()
-    got = estimate_od_flow(np.zeros(6), model, np.eye(6))
+    got = estimate_od_flow(np.zeros(6), model)
     np.testing.assert_allclose(got, 0.0, atol=1e-300)
 
 
@@ -587,7 +587,7 @@ def test_od_flow_nonnegative_on_random_inputs():
                                          rng.random((k, 4)),
                                          np.zeros((k, 0)), LagSet(), routing)
         y = rng.random(m) * 10
-        x = estimate_od_flow(y, model, routing)
+        x = estimate_od_flow(y, model)
         assert x.min() >= 0
         assert np.isfinite(x).all()
 
@@ -604,10 +604,10 @@ def test_od_flows_batch_matches_columnwise():
         model = FactorModel.from_factors(spatial, latent,
                                          rng.random((k, len(lags))), lags,
                                          routing)
-        batch = estimate_od_flows(y, model, routing)
+        batch = estimate_od_flows(y, model)
         assert batch.shape == (n, T)
         for t in range(T):
-            column = estimate_od_flow(y[:, t], model, routing)
+            column = estimate_od_flow(y[:, t], model)
             np.testing.assert_allclose(batch[:, t], column, rtol=1e-12)
 
 
@@ -625,12 +625,12 @@ def test_od_flows_refuse_a_bad_link_flow_cell(value, message):
     model = FactorModel.from_factors(rng.random((n, k)), rng.random((k, 4)),
                                      np.zeros((k, 0)), LagSet(), routing)
     y = rng.random((m, 4))
-    assert estimate_od_flows(LinkFlowMatrix(y), model, routing).min() >= 0
+    assert estimate_od_flows(LinkFlowMatrix(y), model).min() >= 0
     y[1, 2] = value
     with pytest.raises(ValidationError, match=re.escape(message)):
-        estimate_od_flows(y, model, routing)
+        estimate_od_flows(y, model)
     with pytest.raises(ValidationError, match="link flows"):
-        estimate_od_flow(y[:, 2], model, routing)
+        estimate_od_flow(y[:, 2], model)
 
 
 def test_od_flow_held_out_timestamp_meets_frozen_bound():
@@ -646,7 +646,7 @@ def test_od_flow_held_out_timestamp_meets_frozen_bound():
     model, _ = train(train_tm, scen.routing,
                      TrainConfig(rank=4, lag_set=LagSet((1, 2))))
     y = compute_link_flows(scen.routing, test_tm).entries[:, 0]
-    x_hat = estimate_od_flow(y, model, scen.routing)
+    x_hat = estimate_od_flow(y, model)
     x_true = test_tm.entries[:, 0]
     rel = np.linalg.norm(x_hat - x_true) / np.linalg.norm(x_true)
     assert rel <= 0.065

@@ -13,6 +13,8 @@ Covers:
     invariance, reductions at lambda = 0
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -281,7 +283,7 @@ def test_per_lag_kernels_give_the_same_train_and_estimate(monkeypatch):
 
     def run():
         model, report = training.train(x[:, :150], scen.routing, cfg)
-        est = estimate_od_flows(links, model, scen.routing)
+        est = estimate_od_flows(links, model)
         return ([model.spatial.tobytes(), model.latent.tobytes(),
                  model.ar_weights.tobytes(), est.tobytes()],
                 report.objective_trace, report.penalized_trace)
@@ -362,7 +364,7 @@ def test_objective_is_sum_of_terms():
                                       model.lag_set, "residual")
     ortho = ortho_penalty_value(routing @ model.spatial)
     expected = fit + 0.6 * temporal + 0.3 * ortho
-    assert objective_value(x, model, weights, routing) \
+    assert objective_value(x, replace(model, weights=weights)) \
         == pytest.approx(expected, rel=1e-12)
 
 
@@ -372,7 +374,7 @@ def test_objective_reduces_to_fit_without_penalties():
     x = rng.random((7, 12))
     weights = RegularizationWeights(0.0, 0.0, 0.0, 0.0)
     fit = float(np.sum((x - model.spatial @ model.latent) ** 2))
-    assert objective_value(x, model, weights, routing) == pytest.approx(fit, rel=1e-12)
+    assert objective_value(x, replace(model, weights=weights)) == pytest.approx(fit, rel=1e-12)
 
 
 def test_objective_zero_at_exact_model():
@@ -387,7 +389,7 @@ def test_objective_zero_at_exact_model():
     model = FactorModel.from_factors(spatial, latent, ar, LagSet([1, 2]), routing)
     x = spatial @ latent
     weights = RegularizationWeights(1.0, 1.0, 0.5, 0.5)
-    assert objective_value(x, model, weights, routing) == pytest.approx(0.0, abs=1e-20)
+    assert objective_value(x, replace(model, weights=weights)) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_objective_permutation_invariance():
@@ -395,20 +397,19 @@ def test_objective_permutation_invariance():
     model, routing = _random_model(rng)
     x = rng.random((7, 12))
     weights = RegularizationWeights(0.4, 0.7, 0.2, 0.2)
-    base = objective_value(x, model, weights, routing)
+    base = objective_value(x, replace(model, weights=weights))
     perm = rng.permutation(model.rank)
     permuted = FactorModel.from_factors(
         model.spatial[:, perm], model.latent[perm], model.ar_weights[perm],
         model.lag_set, routing)
-    assert objective_value(x, permuted, weights, routing) == pytest.approx(base, rel=1e-12)
+    assert objective_value(x, replace(permuted, weights=weights)) == pytest.approx(base, rel=1e-12)
 
 
 def test_objective_shape_mismatch():
     rng = np.random.default_rng(10)
     model, routing = _random_model(rng)
     with pytest.raises(ShapeError):
-        objective_value(rng.random((7, 5)), model,
-                        RegularizationWeights(), routing)
+        objective_value(rng.random((7, 5)), model)
 
 
 # ------------------------------------------------------------ FactorModel

@@ -252,6 +252,16 @@ def test_lag_weights_of_constant_rows_split_evenly():
         np.testing.assert_allclose(got, 1.0 / len(lags), rtol=1e-6)
 
 
+def test_lag_weights_of_a_long_near_constant_row_split_evenly():
+    # 3.7 plus 1e-12 on every other slot over T = 2016: the Gram's rounding
+    # eigenvalues lie above 1e-15 of the largest but below T eps, so the
+    # fit is the constant row's [0.5, 0.5], not one that fits the rounding
+    row = np.full((1, 2016), 3.7)
+    row[0, ::2] += 1e-12
+    got = init_lag_weights(row, LagSet((1, 2)))
+    np.testing.assert_allclose(got, 0.5, rtol=1e-6)
+
+
 def test_lag_weights_nonnegative():
     # an anti-correlated row would fit a negative weight; projection clips it
     latent = np.array([[1.0, -0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])

@@ -131,7 +131,7 @@ def _small_archive():
     model = FactorModel.from_factors(spatial, latent, ar, LagSet((1, 2)),
                                      routing, weights)
     prov = {"traffic_sha256": "ab" * 32, "note": "round trip"}
-    return ModelArchive(model=model, routing=routing, provenance=prov)
+    return ModelArchive(model=model, provenance=prov)
 
 
 def test_archive_round_trip_bit_exact(tmp_path):
@@ -141,7 +141,7 @@ def test_archive_round_trip_bit_exact(tmp_path):
     back = load_model(p)
     for name in ("spatial", "latent", "ar_weights"):
         assert (getattr(back.model, name) == getattr(arch.model, name)).all()
-    assert (back.routing.entries == arch.routing.entries).all()
+    assert (back.model.routing == arch.model.routing).all()
     assert back.model.lag_set.lags == (1, 2)
     assert back.model.weights == arch.model.weights
     assert back.model.weights.lambda_ortho == 1.25

@@ -31,6 +31,7 @@ import logging
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,15 +55,14 @@ def block_lipschitz(block, x, model, weights):
     depends on the data, so x may be None."""
     x = (np.zeros((model.n_flows, model.n_timestamps)) if x is None
          else np.asarray(x, dtype=float))
-    # the routing enters only the spatial gradient, which is not evaluated
-    return training._block(block, x, model, weights, None)[2]
+    return training._block(block, x, replace(model, weights=weights))[2]
 
 
-def fast_gradient_update(block, x, model, weights, routing, q_block_max=10,
+def fast_gradient_update(block, x, model, weights, q_block_max=10,
                          delta_block=1e-3):
     """One inner pass of training's loop over the spatial or latent block."""
-    triple = training._block(block, np.asarray(x, dtype=float), model,
-                             weights, training.routing_array(routing))
+    triple = training._block(block, np.asarray(x, dtype=float),
+                             replace(model, weights=weights))
     current = model.spatial if block == "spatial" else model.latent
     return training._nesterov_loop(current, *triple, q_block_max,
                                    rel_tol=delta_block)[0]
@@ -124,7 +124,7 @@ def test_gradients_vanish_at_stationary_point():
     x, model, routing = _stationary_setup()
     weights = RegularizationWeights(1.3, 0.8, 0.5, 0.5)
     for block in ("spatial", "latent", "ar"):
-        g = block_gradient(block, x, model, weights, routing)
+        g = block_gradient(block, x, replace(model, weights=weights))
         assert np.abs(g).max() < 1e-10, block
 
 
@@ -138,7 +138,7 @@ def test_gradients_match_finite_differences():
         arrays = {"spatial": model.spatial, "latent": model.latent,
                   "ar": model.ar_weights}
         for block, arr in arrays.items():
-            grad = block_gradient(block, x, model, weights, routing)
+            grad = block_gradient(block, x, replace(model, weights=weights))
             fd = np.zeros_like(arr)
             for idx in np.ndindex(arr.shape):
                 for sign in (1.0, -1.0):
@@ -146,8 +146,8 @@ def test_gradients_match_finite_differences():
                     pert[block][idx] += sign * eps
                     m = FactorModel.from_factors(
                         pert["spatial"], pert["latent"], pert["ar"],
-                        model.lag_set, routing)
-                    fd[idx] += sign * objective_value(x, m, weights, routing)
+                        model.lag_set, routing, weights)
+                    fd[idx] += sign * objective_value(x, m)
             fd /= 2 * eps
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel <= 1e-5, block
@@ -191,7 +191,7 @@ def test_spatial_gradient_reduces_without_penalties():
     model, routing = _model(rng)
     x = rng.random((6, 15))
     weights = RegularizationWeights(0.0, 0.0, 0.0, 0.0)
-    g = block_gradient("spatial", x, model, weights, routing)
+    g = block_gradient("spatial", x, replace(model, weights=weights))
     plain = 2.0 * (model.spatial @ (model.latent @ model.latent.T)
                    - x @ model.latent.T)
     np.testing.assert_allclose(g, plain, atol=1e-12)
@@ -201,8 +201,7 @@ def test_block_gradient_unknown_block():
     rng = np.random.default_rng(2)
     model, routing = _model(rng)
     with pytest.raises(UsageError):
-        block_gradient("bias", np.ones((6, 15)), model,
-                       RegularizationWeights(), routing)
+        block_gradient("bias", np.ones((6, 15)), model)
 
 
 # ----------------------------------------------------- Lipschitz constants
@@ -391,7 +390,7 @@ def test_ar_gradient_on_empty_lag_set():
     rng = np.random.default_rng(9)
     model, routing = _model(rng, lags=())
     weights = RegularizationWeights(lambda_temporal=0.5)
-    g = block_gradient("ar", np.ones((6, 15)), model, weights, routing)
+    g = block_gradient("ar", np.ones((6, 15)), replace(model, weights=weights))
     assert g.shape == (3, 0)
 
 
@@ -454,7 +453,7 @@ def test_inner_loop_projects_negative_optimum_to_zero():
     model = FactorModel.from_factors(np.array([[1.0]]), np.array([[1.0]]),
                                      np.zeros((1, 0)), LagSet(), np.eye(1))
     out = fast_gradient_update("latent", np.array([[-1.0]]), model,
-                               RegularizationWeights(), np.eye(1),
+                               RegularizationWeights(),
                                q_block_max=100, delta_block=1e-14)
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -468,7 +467,7 @@ def test_inner_loop_reaches_interior_minimizer():
     model = FactorModel.from_factors(np.eye(3), h0, np.zeros((3, 0)),
                                      LagSet(), np.eye(3))
     out = fast_gradient_update("latent", x, model, RegularizationWeights(),
-                               np.eye(3), q_block_max=200, delta_block=1e-16)
+                               q_block_max=200, delta_block=1e-16)
     np.testing.assert_allclose(out, x, atol=1e-6)
 
 
@@ -479,7 +478,7 @@ def test_inner_loop_never_worse_on_block_error():
     weights = RegularizationWeights(0.5, 0.5, 0.2, 0.2)
     e0 = float(np.sum((x - model.spatial @ model.latent) ** 2))
     for q in (1, 3, 10):
-        w = fast_gradient_update("spatial", x, model, weights, routing,
+        w = fast_gradient_update("spatial", x, model, weights,
                                  q_block_max=q, delta_block=1e-3)
         e1 = float(np.sum((x - w @ model.latent) ** 2))
         assert e1 <= e0 * (1 + 1e-12)
@@ -660,8 +659,7 @@ def test_train_stops_when_penalized_objective_stalls():
                    for a, b in zip(f[:-2], f[1:-1]))
     # the last entry is the penalized objective of the returned model
     assert f[-1] == pytest.approx(
-        objective_value(scen.traffic.entries, model, model.weights,
-                        scen.routing), rel=1e-12)
+        objective_value(scen.traffic.entries, model), rel=1e-12)
     assert report.objective_trace[-1] < f[-1]
 
 
@@ -693,7 +691,7 @@ def test_train_gram_form_trace_matches_objective_terms(monkeypatch):
     for q, (w, h, omega) in enumerate(iterates):
         m = FactorModel.from_factors(w, h, omega, cfg.lag_set, scen.routing,
                                      model.weights)
-        terms = factors.objective_terms(x, m, model.weights, scen.routing)
+        terms = factors.objective_terms(x, m)
         if q == 0:
             # the seed's fit is the direct residual's, formed once
             assert report.objective_trace[0] == terms[0]
