@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of
+settings."""
+
+import operator
 
 
 class TtnmfError(Exception):
@@ -31,3 +34,12 @@ class NumericalFailure(TtnmfError, RuntimeError):
     def __init__(self, message, snapshot=None):
         super().__init__(message)
         self.snapshot = snapshot if snapshot is not None else {}
+
+
+def integer(name, value) -> int:
+    """value as an int if it is of an integer type (numpy's included); any
+    other value, such as 2.5 or "2", raises ConfigError naming the setting."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None

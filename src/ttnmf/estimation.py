@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure, ShapeError
+from .errors import ConfigError, NumericalFailure, ShapeError, integer
 from .factors import (FactorModel, LagSet, routing_array,
                       temporal_penalty_value)
 from .network import LinkFlowMatrix
@@ -30,7 +30,8 @@ class EstimatorConfig:
     delta_em: float = 1e-9
 
     def __post_init__(self):
-        if self.r_max_em < 0 or not 0.0 < self.delta_em < np.inf:
+        if (integer("r_max_em", self.r_max_em) < 0
+                or not 0.0 < self.delta_em < np.inf):
             raise ConfigError(
                 "need r_max_em >= 0 and a finite delta_em > 0")
 

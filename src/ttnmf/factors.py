@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UsageError, ValidationError
+from .errors import (ConfigError, ShapeError, UsageError, ValidationError,
+                     integer)
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +26,7 @@ class LagSet:
     lags: tuple = ()
 
     def __post_init__(self):
-        lags = tuple(int(v) for v in self.lags)
+        lags = tuple(integer("lags", v) for v in self.lags)
         if any(v < 1 for v in lags):
             raise ConfigError(f"lags must be positive integers, got {lags}")
         if len(set(lags)) != len(lags):
@@ -382,9 +383,7 @@ def objective_terms(x, model: FactorModel) -> tuple:
     if x.shape != (model.n_flows, model.n_timestamps):
         raise ShapeError(
             f"data shape {x.shape} != ({model.n_flows}, {model.n_timestamps})")
-    return (data_fit(x, model.spatial, model.latent),
-            *penalty_terms(model.spatial, model.latent, model.ar_weights,
-                           model.lag_set, model.weights, model.routing))
+    return data_fit(x, model.spatial, model.latent), *penalty_terms(model)
 
 
 def data_fit(x, spatial, latent) -> float:
@@ -395,17 +394,17 @@ def data_fit(x, spatial, latent) -> float:
     return float(np.vdot(resid, resid))
 
 
-def penalty_terms(spatial, latent, ar_weights, lag_set: LagSet,
-                  weights: RegularizationWeights, routing) -> tuple:
-    """(lambda_t * temporal penalty, lambda_o * orthogonality penalty of
-    routing @ spatial), the last two of objective_terms."""
+def penalty_terms(model: FactorModel) -> tuple:
+    """(lambda_t * temporal penalty, lambda_o * orthogonality penalty of the
+    compact routing) under model.weights, the last two of objective_terms."""
+    weights = model.weights
     temporal = ortho = 0.0
-    if weights.lambda_temporal > 0 and len(lag_set) > 0:
+    if weights.lambda_temporal > 0 and len(model.lag_set) > 0:
         temporal = weights.lambda_temporal * temporal_penalty_value(
-            latent, ar_weights, lag_set, "residual")
+            model.latent, model.ar_weights, model.lag_set, "residual")
     if weights.lambda_ortho > 0:
         ortho = weights.lambda_ortho * ortho_penalty_value(
-            routing_array(routing) @ spatial)
+            model.compact_routing)
     return temporal, ortho
 
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure, ShapeError, UsageError
+from .errors import (ConfigError, NumericalFailure, ShapeError, UsageError,
+                     integer)
 from .factors import (FactorModel, LagSet, RegularizationWeights,
                       ar_normal_equations, build_temporal_graph, data_fit,
                       ortho_penalty_value, penalty_terms, routing_array,
@@ -45,14 +46,14 @@ class TrainConfig:
     q_max: int = 50
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
+        for name in ("rank", "q_max"):
+            value = integer(name, getattr(self, name))
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         for name in ("beta_temporal", "beta_ortho"):
             b = getattr(self, name)
             if not 0.0 <= b <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {b}")
-        if self.q_max < 1:
-            raise ConfigError(f"q_max must be >= 1, got {self.q_max}")
 
 
 @dataclass
@@ -260,81 +261,78 @@ def _ar_block(h, lag_set, lam):
 
 
 def _block(block, x, model):
-    """(grad, err, lip) of one block, the other blocks held at `model` and
-    under its weights; the AR block acts on model.ar_weights.T."""
-    weights = model.weights
+    """(start, grad, err, lip) of one block: its iterate in `model`, and the
+    loop's triple with the other blocks held at `model` and under its
+    weights; the AR block acts on model.ar_weights.T."""
+    w, h, weights = model.spatial, model.latent, model.weights
     if block == "spatial":
-        return _spatial_block(x, model.latent, weights, model.routing)
+        return w, *_spatial_block(x, h, weights, model.routing)
     if block == "latent":
-        return _latent_block(x, model.spatial, model.ar_weights, model.lag_set,
-                             weights)
+        return h, *_latent_block(x, w, model.ar_weights, model.lag_set, weights)
     if block == "ar":
-        return _ar_block(model.latent, model.lag_set, weights.lambda_temporal)
+        return (model.ar_weights.T,
+                *_ar_block(h, model.lag_set, weights.lambda_temporal))
     raise UsageError(f"unknown block {block!r}")
 
 
 def block_gradient(block: str, x, model: FactorModel) -> np.ndarray:
     """Analytic gradient of the full objective with respect to one block."""
-    grad = _block(block, np.asarray(x, dtype=float), model)[0]
-    if block == "ar":
-        return grad(model.ar_weights.T).T
-    return grad(model.spatial if block == "spatial" else model.latent)
+    start, grad, _, _ = _block(block, np.asarray(x, dtype=float), model)
+    g = grad(start)
+    return g.T if block == "ar" else g
 
 
-def _update_spatial(x, w, h, weights, a, q_max, delta):
-    return _nesterov_loop(w, *_spatial_block(x, h, weights, a), q_max,
-                          rel_tol=delta)
+def _update_spatial(x, model):
+    """(W, iterations)."""
+    return _nesterov_loop(*_block("spatial", x, model), Q_BLOCK_MAX,
+                          rel_tol=BLOCK_DELTAS["spatial"])
 
 
-def _update_latent(x, w, h, omega, lag_set, weights, q_max, delta):
+def _update_latent(x, model):
     """(H, iterations, the block's Gram-form data fit at H)."""
-    grad, err, lip = _latent_block(x, w, omega, lag_set, weights)
-    h, n = _nesterov_loop(h, grad, err, lip, q_max, rel_tol=delta)
+    h0, grad, err, lip = _block("latent", x, model)
+    h, n = _nesterov_loop(h0, grad, err, lip, Q_BLOCK_MAX,
+                          rel_tol=BLOCK_DELTAS["latent"])
     return h, n, err(h)
 
 
-def _update_ar(h, omega, lag_set, lam, q_max, delta):
+def _update_ar(x, model):
     """(Omega, passes of the one AR loop over all latent rows)."""
-    omega_t, n = _nesterov_loop(omega.T, *_ar_block(h, lag_set, lam), q_max,
-                                rel_tol=delta)
+    omega_t, n = _nesterov_loop(*_block("ar", x, model), Q_BLOCK_MAX,
+                                rel_tol=BLOCK_DELTAS["ar"])
     return np.ascontiguousarray(omega_t.T), n
 
 
-def tune_penalties(x, spatial0, latent0, ar0, lag_set: LagSet,
-                   beta_temporal: float, beta_ortho: float, routing, *,
-                   seed_fit=None):
+def tune_penalties(model: FactorModel, fit: float, beta_temporal: float,
+                   beta_ortho: float):
     """Scale the penalty weights against the data fit at the seed.
 
-    lambda = beta * ||X - W0 H0||_F^2 / den.  For the orthogonality term den
-    is ortho_penalty_value(A W0); for the temporal term it is the AR block's
-    err summed over rows, the Gram form of the full-length residual
+    Returns (lambda_t, lambda_o), each lambda = beta * fit / den, where fit
+    is the data fit ||X - W0 H0||_F^2 of the seed `model`.  For the
+    orthogonality term den is ortho_penalty_value of model.compact_routing;
+    for the temporal term it is the AR block's err at model.ar_weights
+    summed over rows, the Gram form of the full-length residual
     sum_p ||h_p - w_p design_p||^2 with the design zero-padded before
     max_lag and no factor 1/2 (not temporal_penalty_value).  A den below
-    1e-15 of the numerator zeroes the lambda with a warning.  seed_fit, when
-    given, is the numerator ||X - W0 H0||_F^2, which the caller has already
-    computed.
+    1e-15 of fit zeroes the lambda with a warning.
     """
-    x = np.asarray(x, dtype=float)
-    a = routing_array(routing)
-    num = data_fit(x, spatial0, latent0) if seed_fit is None else seed_fit
-
     def ratio(beta, den, name):
         if beta == 0.0:
             return 0.0
-        if den <= 1e-15 * num:
+        if den <= 1e-15 * fit:
             logger.warning("penalty %s disabled: denominator %.3e vanishes "
-                           "against data fit %.3e", name, den, num)
+                           "against data fit %.3e", name, den, fit)
             return 0.0
-        return beta * num / den
+        return beta * fit / den
 
-    if len(lag_set) == 0:
+    if len(model.lag_set) == 0:
         if beta_temporal > 0:
             logger.info("empty lag set: temporal penalty disabled")
         lam_t = 0.0
     else:
-        den_t = float(np.sum(_ar_block(latent0, lag_set, 1.0)[1](ar0.T)))
-        lam_t = ratio(beta_temporal, den_t, "temporal")
-    den_o = ortho_penalty_value(a @ spatial0)
+        start, _, err, _ = _block("ar", None, model)
+        lam_t = ratio(beta_temporal, float(np.sum(err(start))), "temporal")
+    den_o = ortho_penalty_value(model.compact_routing)
     lam_o = ratio(beta_ortho, den_o, "orthogonality")
     return lam_t, lam_o
 
@@ -348,46 +346,49 @@ def em_mask_step(x, mask, spatial, latent) -> np.ndarray:
     return mask * x + (1.0 - mask) * (spatial @ latent)
 
 
-def _check_finite(name, arr, iteration, snapshot):
+def _with_block(model, name, arr, snapshot):
+    """model with its factor `name` replaced by arr; a non-finite arr raises
+    NumericalFailure carrying the snapshot of the outer iteration's entry."""
     if not np.isfinite(arr).all():
         raise NumericalFailure(
-            f"non-finite values in {name} block at outer iteration {iteration}",
-            snapshot=snapshot)
+            f"non-finite values in {name} block at outer iteration "
+            f"{snapshot['iteration']}", snapshot=snapshot)
+    return replace(model, **{name: arr})
 
 
-def _outer_iteration(x, w, h, omega, weights, a, config, q):
-    """Outer iteration q: W, H, then Omega if there is a temporal term, each
-    checked for non-finite values.  Returns (w, h, omega, data fit, block
-    iterations), the data fit in the latent block's Gram form."""
-    snapshot = {"spatial": w, "latent": h, "ar_weights": omega, "iteration": q}
-    w, it_s = _update_spatial(x, w, h, weights, a, Q_BLOCK_MAX,
-                              BLOCK_DELTAS["spatial"])
-    _check_finite("spatial", w, q, snapshot)
-    h, it_l, fit = _update_latent(x, w, h, omega, config.lag_set, weights,
-                                  Q_BLOCK_MAX, BLOCK_DELTAS["latent"])
-    _check_finite("latent", h, q, snapshot)
+def _outer_iteration(x, model, q):
+    """Outer iteration q on `model`: W, H, then Omega if there is a temporal
+    term, each checked for non-finite values.  Returns (model, data fit,
+    block iterations), the data fit in the latent block's Gram form."""
+    snapshot = {"spatial": model.spatial, "latent": model.latent,
+                "ar_weights": model.ar_weights, "iteration": q}
+    w, it_s = _update_spatial(x, model)
+    model = _with_block(model, "spatial", w, snapshot)
+    h, it_l, fit = _update_latent(x, model)
+    model = _with_block(model, "latent", h, snapshot)
     it_a = 0
-    if weights.lambda_temporal > 0 and len(config.lag_set) > 0:
-        omega, it_a = _update_ar(h, omega, config.lag_set,
-                                 weights.lambda_temporal, Q_BLOCK_MAX,
-                                 BLOCK_DELTAS["ar"])
-        _check_finite("ar_weights", omega, q, snapshot)
-    return w, h, omega, fit, (it_s, it_l, it_a)
+    if model.weights.lambda_temporal > 0 and len(model.lag_set) > 0:
+        omega, it_a = _update_ar(x, model)
+        model = _with_block(model, "ar_weights", omega, snapshot)
+    return model, fit, (it_s, it_l, it_a)
 
 
 def train(traffic, routing, config: TrainConfig):
     """Fit a FactorModel to (possibly gappy) traffic data.
 
-    Returns (FactorModel, TrainReport); the model carries the penalty weights
-    it was trained with.  The objective trace records the data-fit error
-    after every outer iteration and never increases; it comes from the
+    Returns (FactorModel, TrainReport).  Training steps one FactorModel: the
+    SVD seed, validated by FactorModel.from_factors, then each block's
+    result in turn; the returned model carries the routing and the penalty
+    weights it was trained with.  The objective trace records the data-fit
+    error after every outer iteration and never increases; it comes from the
     latent block's Gram products, so no iteration forms the n x T residual.
     Training stops at q_max, or once the penalized objective F falls by less
     than DELTA * F of the previous iteration; a rise of F never stops it.
     A mask with an unobserved cell trains by EM imputation: from an SVD seed
     of mask o X, every outer iteration fits X with those cells filled from
-    the current W H (em_mask_step), EM_WARMUP_ITERS penalty-free ones before
-    the penalties are tuned, so the values in unobserved cells never matter.
+    the current W H (em_mask_step), EM_WARMUP_ITERS penalty-free ones with
+    zero AR weights before the penalties are tuned, so the values in
+    unobserved cells never matter.
     """
     if isinstance(traffic, np.ndarray):
         traffic = TrafficMatrix(traffic)
@@ -397,35 +398,33 @@ def train(traffic, routing, config: TrainConfig):
     a = routing_array(routing)
     if a.shape[1] != n:
         raise ShapeError(f"routing has {a.shape[1]} columns, traffic has {n} rows")
-    if len(config.lag_set) > 0 and config.lag_set.max_lag >= T:
+    lag_set = config.lag_set
+    if len(lag_set) > 0 and lag_set.max_lag >= T:
         raise ConfigError(
-            f"max lag {config.lag_set.max_lag} must be < training length {T}")
+            f"max lag {lag_set.max_lag} must be < training length {T}")
 
     gappy = mask is not None and not mask.all()
     t0 = time.perf_counter()
     w, h = init_factors_svd(mask * x if gappy else x, config.rank)
+    # a non-finite seed raises ValidationError
+    model = FactorModel.from_factors(
+        w, h, np.zeros((config.rank, len(lag_set))), lag_set, a)
     if gappy:
         # penalties tuned at the zero-filled seed come out far too strong,
         # so tune them after a penalty-free warm-up on the EM-filled data
         for q in range(1, EM_WARMUP_ITERS + 1):
-            w, h, _, _, _ = _outer_iteration(
-                em_mask_step(x, mask, w, h), w, h, None,
-                RegularizationWeights(), a, config, q)
-    x_work = em_mask_step(x, mask, w, h) if gappy else x
-    omega = init_lag_weights(h, config.lag_set)
+            model = _outer_iteration(
+                em_mask_step(x, mask, model.spatial, model.latent), model,
+                q)[0]
+    x_work = em_mask_step(x, mask, model.spatial, model.latent) if gappy else x
+    model = replace(model, ar_weights=init_lag_weights(model.latent, lag_set))
     # the seed's data fit, shared by the penalty scale and the trace
-    fit = data_fit(x_work, w, h)
-    lam_t, lam_o = tune_penalties(x_work, w, h, omega, config.lag_set,
-                                  config.beta_temporal, config.beta_ortho, a,
-                                  seed_fit=fit)
-    weights = RegularizationWeights(lam_t, lam_o, config.beta_temporal,
-                                    config.beta_ortho)
-
-    def model_at(w, h, omega):
-        return FactorModel.from_factors(w, h, omega, config.lag_set, a, weights)
-
-    model_at(w, h, omega)   # a non-finite seed raises ValidationError
-    temporal, ortho = penalty_terms(w, h, omega, config.lag_set, weights, a)
+    fit = data_fit(x_work, model.spatial, model.latent)
+    lam_t, lam_o = tune_penalties(model, fit, config.beta_temporal,
+                                  config.beta_ortho)
+    model = replace(model, weights=RegularizationWeights(
+        lam_t, lam_o, config.beta_temporal, config.beta_ortho))
+    temporal, ortho = penalty_terms(model)
     trace, f_trace = [fit], [fit + temporal + ortho]
     t_trace, o_trace = [temporal], [ortho]
     wall_ms = [0.0]
@@ -434,12 +433,11 @@ def train(traffic, routing, config: TrainConfig):
 
     for q in range(1, config.q_max + 1):
         if gappy:
-            x_work = em_mask_step(x, mask, w, h)
-        w, h, omega, fit, iters = _outer_iteration(x_work, w, h, omega,
-                                                   weights, a, config, q)
+            x_work = em_mask_step(x, mask, model.spatial, model.latent)
+        model, fit, iters = _outer_iteration(x_work, model, q)
         for b, n_b in zip(BLOCKS, iters):
             counts[b].append(n_b)
-        temporal, ortho = penalty_terms(w, h, omega, config.lag_set, weights, a)
+        temporal, ortho = penalty_terms(model)
         trace.append(fit)
         f_trace.append(fit + temporal + ortho)
         t_trace.append(temporal)
@@ -449,7 +447,7 @@ def train(traffic, routing, config: TrainConfig):
             stop_reason = "converged"
             break
 
-    return model_at(w, h, omega), TrainReport(
+    return model, TrainReport(
         trace, counts, time.perf_counter() - t0, wall_ms,
         penalized_trace=f_trace, stop_reason=stop_reason,
         temporal_trace=t_trace, ortho_trace=o_trace)

@@ -414,7 +414,7 @@ def test_objective_shape_mismatch():
 
 # ------------------------------------------------------------ FactorModel
 
-def test_factor_model_caches_compact_routing():
+def test_factor_model_compact_routing_is_routing_times_spatial():
     rng = np.random.default_rng(12)
     model, routing = _random_model(rng)
     np.testing.assert_allclose(model.compact_routing, routing @ model.spatial,

@@ -1,7 +1,8 @@
 """Trainer tests.
 
 Covers:
-  - config validation
+  - config validation; integer settings of LagSet, TrainConfig and
+    EstimatorConfig refuse other types
   - momentum schedule hand value
   - analytic gradients: stationary point, finite differences (also with
     per-row temporal weights), lambda = 0 reduction
@@ -20,7 +21,8 @@ Covers:
   - train: monotone trace, nonneg iterates, planted fit quality, plain-NMF
     reduction, input validation (non-finite cells included), a gappy mask
     trained by EM imputation without reading its unobserved cells,
-    non-finite guard, the seed residual's memory
+    non-finite guard, the seed residual's memory, each block update
+    called through its module name once per outer iteration
   - stop rule: converged before q_max on the acceptance scenarios (full and
     gappy), q_max with a tiny delta, penalized trace oracle, the
     Gram-form trace and the penalty-term traces against objective_terms of
@@ -40,6 +42,7 @@ import ttnmf.factors as factors
 import ttnmf.training as training
 from ttnmf.errors import (ConfigError, NumericalFailure, ShapeError, UsageError,
                           ValidationError)
+from ttnmf.estimation import EstimatorConfig
 from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
                            build_temporal_graph, lag_designs,
                            objective_value, ortho_penalty_value,
@@ -55,16 +58,15 @@ def block_lipschitz(block, x, model, weights):
     depends on the data, so x may be None."""
     x = (np.zeros((model.n_flows, model.n_timestamps)) if x is None
          else np.asarray(x, dtype=float))
-    return training._block(block, x, replace(model, weights=weights))[2]
+    return training._block(block, x, replace(model, weights=weights))[3]
 
 
 def fast_gradient_update(block, x, model, weights, q_block_max=10,
                          delta_block=1e-3):
     """One inner pass of training's loop over the spatial or latent block."""
-    triple = training._block(block, np.asarray(x, dtype=float),
-                             replace(model, weights=weights))
-    current = model.spatial if block == "spatial" else model.latent
-    return training._nesterov_loop(current, *triple, q_block_max,
+    start_and_triple = training._block(block, np.asarray(x, dtype=float),
+                                       replace(model, weights=weights))
+    return training._nesterov_loop(*start_and_triple, q_block_max,
                                    rel_tol=delta_block)[0]
 
 
@@ -91,6 +93,22 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(rank=2, q_max=0)
     assert not hasattr(TrainConfig, "validate")
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: LagSet((1.5, 2.9)), "lags"),
+    (lambda: TrainConfig(rank=2, q_max=2.5), "q_max"),
+    (lambda: TrainConfig(rank=2.5), "rank"),
+    (lambda: TrainConfig(rank="2"), "rank"),
+    (lambda: EstimatorConfig(r_max_em=2.5), "r_max_em"),
+], ids=["lags", "q_max", "rank", "rank_text", "r_max_em"])
+def test_integer_settings_reject_other_types(make, name):
+    # a float is not truncated and no string is parsed when the object is
+    # made; numpy integers pass
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        make()
+    assert LagSet(np.array([2, 1])).lags == (1, 2)
+    assert TrainConfig(rank=np.int64(2), q_max=np.int32(3)).q_max == 3
 
 
 def test_momentum_schedule():
@@ -317,8 +335,12 @@ def test_update_ar_matches_per_row_blocks():
         latent = rng.random((4, T))
         latent[1] = 0.0   # zero design: the free step
         omega0 = rng.random((4, len(lags)))
-        omega, n = training._update_ar(latent, omega0, LagSet(lags), 2.5, 50,
-                                       1e-5)
+        model = FactorModel.from_factors(
+            np.ones((1, 4)), latent, omega0, LagSet(lags), np.ones((1, 1)),
+            RegularizationWeights(lambda_temporal=2.5))
+        omega_t, n = training._nesterov_loop(
+            *training._block("ar", None, model), 50, rel_tol=1e-5)
+        omega = omega_t.T
         ref, iters = _ar_reference(latent, omega0, LagSet(lags), 2.5, 50, 1e-5)
         assert omega.shape == omega0.shape
         np.testing.assert_allclose(omega, ref, rtol=1e-12, atol=1e-14)
@@ -500,7 +522,9 @@ def test_tune_penalties_matches_ratio_oracle():
     for p, d in enumerate(lag_designs(h0, ls)):
         den_t += float(np.sum((h0[p] - o0[p] @ d) ** 2))
     den_o = ortho_penalty_value(routing @ w0)
-    lam_t, lam_o = tune_penalties(x, w0, h0, o0, ls, 0.2, 0.3, routing)
+    lam_t, lam_o = tune_penalties(
+        FactorModel.from_factors(w0, h0, o0, ls, routing),
+        factors.data_fit(x, w0, h0), 0.2, 0.3)
     assert lam_t == pytest.approx(0.2 * num / den_t, rel=1e-12)
     assert lam_o == pytest.approx(0.3 * num / den_o, rel=1e-12)
 
@@ -511,7 +535,9 @@ def test_tune_penalties_unit_ratio():
     w0 = np.array([[1.0]])
     h0 = np.array([[1.0, 1.0]])
     o0 = np.zeros((1, 1))
-    lam_t, _ = tune_penalties(x, w0, h0, o0, LagSet([1]), 0.2, 0.0, np.eye(1))
+    lam_t, _ = tune_penalties(
+        FactorModel.from_factors(w0, h0, o0, LagSet([1]), np.eye(1)),
+        factors.data_fit(x, w0, h0), 0.2, 0.0)
     assert lam_t == pytest.approx(0.2, rel=1e-12)
 
 
@@ -523,8 +549,10 @@ def test_tune_penalties_orthonormal_denominator_vanishes(caplog):
     h0 = rng.random((2, 6))
     x = rng.random((4, 6))
     with caplog.at_level(logging.WARNING, logger="ttnmf.training"):
-        _, lam_o = tune_penalties(x, w0, h0, np.zeros((2, 0)), LagSet(),
-                                  0.0, 0.4, np.eye(4))
+        _, lam_o = tune_penalties(
+            FactorModel.from_factors(w0, h0, np.zeros((2, 0)), LagSet(),
+                                     np.eye(4)),
+            factors.data_fit(x, w0, h0), 0.0, 0.4)
     assert lam_o == 0.0
     assert any("disabled" in rec.message for rec in caplog.records)
 
@@ -533,8 +561,10 @@ def test_tune_penalties_empty_lag_set_and_zero_betas():
     rng = np.random.default_rng(10)
     x = rng.random((4, 6))
     w0, h0 = rng.random((4, 2)), rng.random((2, 6))
-    lam_t, lam_o = tune_penalties(x, w0, h0, np.zeros((2, 0)), LagSet(),
-                                  0.5, 0.0, np.eye(4))
+    lam_t, lam_o = tune_penalties(
+        FactorModel.from_factors(w0, h0, np.zeros((2, 0)), LagSet(),
+                                 np.eye(4)),
+        factors.data_fit(x, w0, h0), 0.5, 0.0)
     assert lam_t == 0.0 and lam_o == 0.0
 
 
@@ -673,12 +703,12 @@ def test_train_gram_form_trace_matches_objective_terms(monkeypatch):
 
     def recording(*args):
         result = outer(*args)
-        iterates.append(result[:3])
+        iterates.append(result[0])
         return result
 
-    def seed(x, w, h, omega, *args, **kwargs):
-        iterates.append((w, h, omega))
-        return tune(x, w, h, omega, *args, **kwargs)
+    def seed(m, *args):
+        iterates.append(m)
+        return tune(m, *args)
 
     tune = training.tune_penalties
     monkeypatch.setattr(training, "_outer_iteration", recording)
@@ -688,9 +718,8 @@ def test_train_gram_form_trace_matches_objective_terms(monkeypatch):
     assert (len(report.temporal_trace) == len(report.ortho_trace)
             == len(report.objective_trace))
     x = scen.traffic.entries
-    for q, (w, h, omega) in enumerate(iterates):
-        m = FactorModel.from_factors(w, h, omega, cfg.lag_set, scen.routing,
-                                     model.weights)
+    for q, m in enumerate(iterates):
+        m = replace(m, weights=model.weights)
         terms = factors.objective_terms(x, m)
         if q == 0:
             # the seed's fit is the direct residual's, formed once
@@ -802,6 +831,26 @@ def test_train_rejects_non_finite_cells():
             train(bad, routing, TrainConfig(rank=2, q_max=3))
         with pytest.raises(ValidationError, match=r"cell \(3,6\)"):
             TrafficMatrix(bad, mask=mask)
+
+
+@pytest.mark.parametrize("lags", [(1, 2), ()])
+def test_train_calls_each_block_update_through_the_module(monkeypatch, lags):
+    # the benchmark times the blocks by wrapping these module attributes, so
+    # training must look them up at each call, not bind them at import
+    calls = dict.fromkeys(training.BLOCKS, 0)
+    for block in training.BLOCKS:
+        def counting(*args, _block=block, _update=getattr(
+                training, f"_update_{block}")):
+            calls[_block] += 1
+            return _update(*args)
+        monkeypatch.setattr(training, f"_update_{block}", counting)
+    scen = generate_synthetic(6, 4, 300, LagSet((1, 2)), 0.05, seed=3)
+    model, report = train(scen.traffic, scen.routing,
+                          TrainConfig(rank=4, lag_set=LagSet(lags)))
+    n = report.n_iterations
+    assert n >= 2
+    assert (model.weights.lambda_temporal > 0) == bool(lags)
+    assert calls == {"spatial": n, "latent": n, "ar": n if lags else 0}
 
 
 def test_train_raises_numerical_failure_on_nonfinite_block(monkeypatch):
