@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer check of
-settings."""
+"""Exception types shared across the package, and the integer and real
+checks of settings."""
 
+import numbers
 import operator
 
 
@@ -43,3 +44,11 @@ def integer(name, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def real(name, value) -> float:
+    """value as a float if it is a real number (numpy's included); any other
+    value, such as "0.2" or None, raises ConfigError naming the setting."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure, ShapeError, integer
+from .errors import ConfigError, NumericalFailure, ShapeError, integer, real
 from .factors import (FactorModel, LagSet, routing_array,
                       temporal_penalty_value)
 from .network import LinkFlowMatrix
@@ -31,7 +31,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if (integer("r_max_em", self.r_max_em) < 0
-                or not 0.0 < self.delta_em < np.inf):
+                or not 0.0 < real("delta_em", self.delta_em) < np.inf):
             raise ConfigError(
                 "need r_max_em >= 0 and a finite delta_em > 0")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, ShapeError, UsageError, ValidationError,
-                     integer)
+                     integer, real)
 
 logger = logging.getLogger(__name__)
 
@@ -65,11 +65,12 @@ class RegularizationWeights:
     beta_ortho: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.lambda_temporal < np.inf
-                and 0.0 <= self.lambda_ortho < np.inf):
+        lam_t, lam_o, *betas = (real(name, getattr(self, name)) for name in (
+            "lambda_temporal", "lambda_ortho", "beta_temporal", "beta_ortho"))
+        if not (0.0 <= lam_t < np.inf and 0.0 <= lam_o < np.inf):
             raise ConfigError("penalty weights must be finite and >= 0")
         # beta = 0 switches the corresponding penalty off (ablation mode)
-        for b in (self.beta_temporal, self.beta_ortho):
+        for b in betas:
             if not 0.0 <= b <= 1.0:
                 raise ConfigError(f"beta must lie in [0, 1], got {b}")
 

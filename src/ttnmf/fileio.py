@@ -90,17 +90,256 @@ def load_matrix_csv(path) -> np.ndarray:
     return arr
 
 
+# write_matrix_csv formats up to _BLOCK cells at a time with numpy integer
+# arithmetic.  Each cell gets one _ROW-byte row of a char block, and one
+# masked gather keeps the bytes of its text:
+#   col 5       the separator before the cell ("\n" before a row's first)
+#   col 6       "-" for a negative cell, else the separator again
+#   cols 7-23   its 17 significant digits d_0..d_16 (copy A)
+#   cols 26-30  "0"s, for the "0.000" of a cell below 1 in magnitude
+#   cols 31-47  the same digits again (copy B), with "." written at 31 + X
+# A cell with decimal exponent X and n digits after trailing zeros are cut
+# keeps cols 6..7+X and, if it has a fraction, 31+X..30+n when X >= 0, or
+# cols 6 and 30+X..30+n when X < 0; a negative cell keeps col 5 as well.
+# Cells that format_float writes ("0", "inf", "1e+17", ...) are copied to
+# cols 7-30 and keep cols 6..6+length.
+_BLOCK = 4096
+_ROW = 48
+_SEP, _SIGN, _A, _PAD, _B = 5, 6, 7, 26, 31
+_POW10 = np.array([float(10 ** s) for s in range(23)])  # all exact
+_SPLITTER = 134217729.0              # 2**27 + 1
+_TEXT_CODE = 2 * 21 * 17             # the codes of (sign, X, n) come first
+
+
+def _split(a, hi, lo) -> None:
+    """Dekker's split a = hi + lo into two 26-bit halves, exactly."""
+    np.multiply(a, _SPLITTER, out=hi)
+    np.subtract(hi, a, out=lo)
+    np.subtract(hi, lo, out=hi)
+    np.subtract(a, hi, out=lo)
+
+
+_POW10_HI, _POW10_LO = np.empty(23), np.empty(23)
+_split(_POW10, _POW10_HI, _POW10_LO)
+
+
+def _keep_masks() -> np.ndarray:
+    """The kept columns of a row, indexed by (negative * 21 + X + 4) * 17 +
+    n - 1 for a formatted cell and _TEXT_CODE + length for a copied text."""
+    masks = np.zeros((_TEXT_CODE + 25, _ROW), bool)
+    code = 0
+    for neg in (0, 1):
+        for x in range(-4, 17):
+            for n in range(1, 18):
+                m = masks[code]
+                m[_SIGN - neg:_SIGN + 1] = True
+                if x >= 0:
+                    m[_A:_A + x + 1] = True
+                    if n > x + 1:
+                        m[_B + x:_B + n] = True
+                else:
+                    m[_B - 1 + x:_B + n] = True
+                code += 1
+    for length in range(25):
+        masks[_TEXT_CODE + length, _SIGN:_A + length] = True
+    return masks
+
+
+_KEEP_MASKS = _keep_masks()
+
+
+def _scaled_digits(ax, e10, out, scratch) -> None:
+    """out = round-half-even(ax * 10**(16 - e10)) as int64, exactly.
+
+    hi + lo = ax * 10**s with no rounding (Dekker's product, Numer. Math.
+    18, 1971), and hi >= 2**53 is an even integer, so the rounding is
+    hi + rint(lo)."""
+    p_hi, p_lo, hi, a_hi, a_lo, lo = scratch
+    np.subtract(16, e10, out=out)
+    np.take(_POW10_HI, out, out=p_hi, mode="clip")
+    np.take(_POW10_LO, out, out=p_lo, mode="clip")
+    np.add(p_hi, p_lo, out=hi)
+    hi *= ax
+    _split(ax, a_hi, a_lo)
+    np.multiply(a_hi, p_hi, out=lo)
+    lo -= hi
+    a_hi *= p_lo
+    lo += a_hi
+    p_hi *= a_lo
+    lo += p_hi
+    a_lo *= p_lo
+    lo += a_lo
+    np.rint(lo, out=lo)
+    np.copyto(out, hi, casting="unsafe")
+    np.copyto(hi.view(np.int64), lo, casting="unsafe")
+    out += hi.view(np.int64)
+
+
+def _digit_bytes(x, out, tmp) -> None:
+    """out = the 8 decimal digits of each x < 10**8 as bytes 0-9, in text
+    order when read as little-endian words.  x splits into two 4-digit
+    lanes, then four 2-digit lanes, then eight 1-digit lanes.  Splitting
+    lane v at q = v // 100 gives (v - 100 q) << 16 | q, which is
+    (v << 16) - q ((100 << 16) - 1); the split at v // 10 is alike."""
+    u64 = np.uint64
+    np.floor_divide(x, u64(10000), out=out)
+    np.multiply(out, u64(10000), out=tmp)
+    np.subtract(x, tmp, out=tmp)
+    tmp <<= u64(32)
+    out |= tmp
+    np.multiply(out, u64(10486), out=tmp)  # (v * 10486) >> 20 == v // 100
+    tmp >>= u64(20)
+    tmp &= u64(0x7F0000007F)
+    tmp *= u64((100 << 16) - 1)
+    out <<= u64(16)
+    out -= tmp
+    np.multiply(out, u64(103), out=tmp)    # (v * 103) >> 10 == v // 10
+    tmp >>= u64(10)
+    tmp &= u64(0x000F000F000F000F)
+    tmp *= u64((10 << 8) - 1)
+    out <<= u64(8)
+    out -= tmp
+
+
+def _last_byte(words, out) -> None:
+    """out = the index of each word's highest nonzero byte, negative for 0.
+    A word of bytes 0-9 converts to a float of the same top byte."""
+    np.copyto(out.view(np.float64), words, casting="unsafe")
+    out >>= 52
+    out -= 1023
+    out >>= 3
+
+
+class _BlockFormatter:
+    """The work arrays of write_matrix_csv, for blocks of up to `size`
+    cells."""
+
+    def __init__(self, size):
+        self.ax = np.empty(size)
+        self.in_range = np.empty(size, bool)
+        self.neg = np.empty(size, bool)
+        self.e10 = np.empty(size, np.intp)
+        self.digits = np.empty(size, np.int64)
+        self.code = np.empty(size, np.intp)
+        self.scratch = np.empty((6, size))
+        self.chars = np.zeros((size, _ROW), np.uint8)
+        self.keep = np.empty((size, _ROW), bool)
+        self.dot_cols = np.arange(_B, size * _ROW, _ROW)
+
+    def text(self, block, row_start) -> np.ndarray:
+        """The bytes of a k x m block, each cell after its separator; the
+        first column's is "\\n" if row_start is True."""
+        k, m = block.shape
+        n = k * m
+        ax, e10, d, code = (a[:n] for a in (
+            self.ax, self.e10, self.digits, self.code))
+        in_range, neg = self.in_range[:n], self.neg[:n]
+        scratch = self.scratch[:, :n]
+        chars = self.chars[:n]
+
+        np.abs(block, out=ax.reshape(k, m))
+        np.greater_equal(ax, 1e-4, out=in_range)
+        in_range &= ax < 1e17
+        np.signbit(block, out=neg.reshape(k, m))
+        neg &= in_range
+        np.copyto(ax, 1.0, where=~in_range)
+        np.log10(ax, out=scratch[0])
+        np.floor(scratch[0], out=scratch[0])
+        np.copyto(e10, scratch[0], casting="unsafe")
+        np.clip(e10, -4, 16, out=e10)
+        _scaled_digits(ax, e10, d, scratch)
+        # log10 may put e10 one off near a power of ten
+        if d.min() < 10 ** 16 or d.max() >= 10 ** 17:
+            off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
+            e10[off] += np.where(d[off] < 10 ** 16, -1, 1)
+            fixed = np.empty(off.size, np.int64)
+            _scaled_digits(ax[off], e10[off], fixed,
+                           np.empty((6, off.size)))
+            d[off] = fixed
+
+        # d = d_0 * 10**16 + u * 10**8 + v; the digits of u and v as words
+        words = scratch.view(np.uint64)
+        uv, dig, tmp = words[0:2], words[2:4], words[4:6]
+        d = d.view(np.uint64)
+        d0 = ax.view(np.uint64)
+        np.floor_divide(d, np.uint64(10 ** 16), out=d0)
+        np.multiply(d0, np.uint64(10 ** 16), out=tmp[0])
+        np.subtract(d, tmp[0], out=uv[1])
+        np.floor_divide(uv[1], np.uint64(10 ** 8), out=uv[0])
+        np.multiply(uv[0], np.uint64(10 ** 8), out=tmp[0])
+        uv[1] -= tmp[0]
+        _digit_bytes(uv, dig, tmp)
+        last = tmp.view(np.int64)
+        _last_byte(dig, last)
+
+        code[:] = neg
+        code *= 21
+        code += e10
+        code *= 17
+        # the number of digits left once trailing zeros are cut, minus one
+        last[0] += 1
+        last[1] += 9
+        np.maximum(last[0], last[1], out=last[0])
+        np.maximum(last[0], 0, out=last[0])
+        code += last[0]
+        code += 4 * 17
+
+        dig |= np.uint64(0x3030303030303030)
+        words = chars.view("<u8")
+        words[:, 1], words[:, 2] = dig
+        words[:, 4], words[:, 5] = dig
+        d0 += np.uint64(ord("0"))
+        chars[:, _A] = d0
+        chars[:, _B] = d0
+        chars[:, _PAD:_B] = ord("0")
+        sep = chars[:, _SEP].reshape(k, m)
+        sep[...] = ord(",")
+        if row_start:
+            sep[:, 0] = ord("\n")
+        chars[:, _SIGN] = chars[:, _SEP]
+        chars[:, _SIGN][neg] = ord("-")
+        np.add(self.dot_cols[:n], e10, out=e10)
+        chars.reshape(-1)[e10] = ord(".")
+
+        texts = np.flatnonzero(~in_range)
+        if texts.size:
+            strs = [format_float(v)
+                    for v in block[np.divmod(texts, m)].tolist()]
+            code[texts] = [_TEXT_CODE + len(s) for s in strs]
+            chars[texts, _A:_B] = np.frombuffer(
+                "".join(s.ljust(_B - _A) for s in strs).encode("ascii"),
+                np.uint8).reshape(-1, _B - _A)
+        # mode="clip" takes straight into out; "raise" would buffer
+        keep = np.take(_KEEP_MASKS, code, axis=0, out=self.keep[:n],
+                       mode="clip")
+        return chars.reshape(-1)[keep.reshape(-1)]
+
+
 def write_matrix_csv(path, matrix) -> None:
-    """Row-major CSV, 17 significant digits, no header, \\n endings."""
+    """Row-major CSV, 17 significant digits, no header, \\n endings.
+
+    Every cell is written as format_float writes it.  Cells of magnitude
+    in [1e-4, 1e17) are formatted in blocks of _BLOCK cells by numpy
+    integer arithmetic; the others (0, subnormals, 1e17 and above, inf and
+    nan) by format_float itself, one at a time.
+    """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise ShapeError("can only write 2-D matrices")
-    # format_float's "%.17g" for every cell, one % operation per row; only
-    # one row at a time is held as Python floats
-    line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in arr:
-            fh.write(line % tuple(row.tolist()))
+    rows, cols = arr.shape
+    with open(path, "wb") as fh:
+        if not arr.size:
+            fh.write(b"\n" * rows)
+            return
+        blocks = _BlockFormatter(min(arr.size, _BLOCK))
+        step = max(1, _BLOCK // cols)
+        skip = 1  # the separator before the first cell
+        for r in range(0, rows, step):
+            for c in range(0, cols, _BLOCK):
+                fh.write(blocks.text(arr[r:r + step, c:c + _BLOCK],
+                                     c == 0)[skip:])
+                skip = 0
+        fh.write(b"\n")
 
 
 def parse_config_file(path) -> dict:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (ConfigError, NumericalFailure, ShapeError, UsageError,
-                     integer)
+                     integer, real)
 from .factors import (FactorModel, LagSet, RegularizationWeights,
                       ar_normal_equations, build_temporal_graph, data_fit,
                       ortho_penalty_value, penalty_terms, routing_array,
@@ -51,7 +51,7 @@ class TrainConfig:
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         for name in ("beta_temporal", "beta_ortho"):
-            b = getattr(self, name)
+            b = real(name, getattr(self, name))
             if not 0.0 <= b <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {b}")
 
@@ -314,14 +314,17 @@ def tune_penalties(model: FactorModel, fit: float, beta_temporal: float,
     summed over rows, the Gram form of the full-length residual
     sum_p ||h_p - w_p design_p||^2 with the design zero-padded before
     max_lag and no factor 1/2 (not temporal_penalty_value).  A den below
-    1e-15 of fit zeroes the lambda with a warning.
+    1e-15 of a sum of squares in its own units zeroes the lambda with a
+    warning: the temporal den is measured against sum_p ||h_p||^2 of
+    model.latent, so the cut-off does not move with the traffic unit, and
+    the orthogonality den against fit.
     """
-    def ratio(beta, den, name):
+    def ratio(beta, den, scale, name):
         if beta == 0.0:
             return 0.0
-        if den <= 1e-15 * fit:
+        if den <= 1e-15 * scale:
             logger.warning("penalty %s disabled: denominator %.3e vanishes "
-                           "against data fit %.3e", name, den, fit)
+                           "against %.3e", name, den, scale)
             return 0.0
         return beta * fit / den
 
@@ -331,9 +334,10 @@ def tune_penalties(model: FactorModel, fit: float, beta_temporal: float,
         lam_t = 0.0
     else:
         start, _, err, _ = _block("ar", None, model)
-        lam_t = ratio(beta_temporal, float(np.sum(err(start))), "temporal")
+        lam_t = ratio(beta_temporal, float(np.sum(err(start))),
+                      float(np.sum(model.latent ** 2)), "temporal")
     den_o = ortho_penalty_value(model.compact_routing)
-    lam_o = ratio(beta_ortho, den_o, "orthogonality")
+    lam_o = ratio(beta_ortho, den_o, fit, "orthogonality")
     return lam_t, lam_o
 
 

@@ -376,7 +376,51 @@ def test_write_matches_per_cell_format(tmp_path):
         assert p.read_bytes() == expected.encode()
 
 
-def test_write_holds_one_row_of_python_floats(tmp_path):
+def _per_cell_text(arr) -> bytes:
+    """The oracle of write_matrix_csv: "%.17g" cell by cell."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in arr).encode()
+
+
+def _writer_values(rng) -> np.ndarray:
+    """Each class of float64 that the blocked writer treats apart, in both
+    signs."""
+    powers = 10.0 ** np.arange(-8, 20)
+    near = [powers]
+    for direction in (np.inf, 0.0):
+        step = powers
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    odd = rng.integers(0, 2 ** 52, 2000) | 1
+    magnitudes = np.concatenate([
+        rng.integers(0, 2 ** 64, 4000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-300, 300, 4000),
+        10.0 ** rng.uniform(-5, 18, 4000),
+        *near,
+        # exact ties at the 17th digit, and integers around 2**53
+        (2.0 ** 52 + odd) / 4, (2.0 ** 52 + odd) / 8,
+        2.0 ** 53 + np.arange(-50.0, 50.0),
+        np.arange(0.0, 3.0, 0.001),
+        [0.0, np.inf, np.nan, 5e-324, np.finfo(float).max,
+         np.finfo(float).tiny, 1e-4, np.nextafter(1e-4, 0.0), 1e17,
+         np.nextafter(1e17, 0.0)],
+    ])
+    return np.concatenate([magnitudes, -magnitudes])
+
+
+def test_write_matches_per_cell_oracle_on_every_value_class(tmp_path):
+    values = _writer_values(np.random.default_rng(31))
+    square = values[:len(values) // 60 * 60].reshape(-1, 60)
+    p = tmp_path / "a.csv"
+    for arr in (values.reshape(-1, 1), values[None, 8000:13200], square,
+                square.T, square[::3, 1::7], values[:1].reshape(1, 1),
+                np.zeros((2, 0)), np.zeros((0, 3))):
+        write_matrix_csv(p, arr)
+        assert p.read_bytes() == _per_cell_text(arr), arr.shape
+
+
+def test_write_peak_traced_memory_is_bounded(tmp_path):
     # the geant-cli bench estimate's shape; as one list of Python floats the
     # whole matrix took about 11 MB
     arr = np.random.default_rng(0).random((506, 672)) * 1e6

@@ -111,6 +111,27 @@ def test_integer_settings_reject_other_types(make, name):
     assert TrainConfig(rank=np.int64(2), q_max=np.int32(3)).q_max == 3
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: TrainConfig(rank=2, beta_temporal="0.2"), "beta_temporal"),
+    (lambda: TrainConfig(rank=2, beta_ortho=None), "beta_ortho"),
+    (lambda: EstimatorConfig(delta_em="1e-9"), "delta_em"),
+    (lambda: RegularizationWeights(lambda_temporal="1"), "lambda_temporal"),
+    (lambda: RegularizationWeights(lambda_ortho=[1.0]), "lambda_ortho"),
+    (lambda: RegularizationWeights(beta_temporal="0"), "beta_temporal"),
+    (lambda: RegularizationWeights(beta_ortho=None), "beta_ortho"),
+], ids=["train_beta_temporal", "train_beta_ortho", "delta_em",
+        "lambda_temporal", "lambda_ortho", "weights_beta_temporal",
+        "weights_beta_ortho"])
+def test_real_settings_reject_other_types(make, name):
+    # every float field of TrainConfig, EstimatorConfig and
+    # RegularizationWeights: no string is parsed and None is not a number;
+    # ints and numpy floats pass
+    with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+        make()
+    assert EstimatorConfig(delta_em=np.float32(1e-3)).delta_em > 0
+    assert RegularizationWeights(1, np.float64(2.0), 0, 1).beta_ortho == 1
+
+
 def test_momentum_schedule():
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     assert next_momentum(1.0) == pytest.approx(golden, rel=1e-15)
@@ -555,6 +576,22 @@ def test_tune_penalties_orthonormal_denominator_vanishes(caplog):
             factors.data_fit(x, w0, h0), 0.0, 0.4)
     assert lam_o == 0.0
     assert any("disabled" in rec.message for rec in caplog.records)
+
+
+def test_tune_penalties_temporal_cut_off_ignores_the_traffic_unit(caplog):
+    # the training traffic of `ttnmf synth --routers 4 --rank 2 --T 60
+    # --split 40 --lags 1,2 --seed 7` in a unit 1e15 times larger: the AR
+    # residual and its reference sum_p ||h_p||^2 scale alike, so the
+    # temporal penalty stays on
+    scen = generate_synthetic(n_routers=4, planted_rank=2, n_timestamps=60,
+                              planted_lags=LagSet([1, 2]), noise_level=0.05,
+                              seed=7)
+    traffic = TrafficMatrix(scen.traffic.entries[:, :40] * 1e15)
+    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]), q_max=5)
+    with caplog.at_level(logging.WARNING, logger="ttnmf.training"):
+        model, _ = train(traffic, scen.routing, cfg)
+    assert not any("disabled" in rec.message for rec in caplog.records)
+    assert model.weights.lambda_temporal > 0.0
 
 
 def test_tune_penalties_empty_lag_set_and_zero_betas():
