@@ -367,7 +367,10 @@ def _pin_blas_threads():
     On the CLI's matrix sizes a second thread adds CPU time, not speed, and
     the thread count changes the order of sums in the products, so one
     thread also makes the outputs independent of OPENBLAS_NUM_THREADS, which
-    OpenBLAS reads only when numpy loads it.
+    OpenBLAS reads only when numpy loads it.  The second core goes to
+    estimation.refine_em instead: it runs two fixed column halves on two
+    threads, each half's products on this one BLAS thread, so its outputs
+    do not depend on thread scheduling either.
     """
     found = _loaded_openblas()
     if found is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,58 +121,119 @@ def refine_em(x0, link_flows, routing,
     1e-12 (and logged once per call).  The update is scale-equivariant and
     leaves exact solutions of A x = y unchanged.  Neither x0 nor link_flows
     is modified.  Logs at info level the steps run and the steps per column.
+
+    The window is split at T // 2 into two fixed column halves that run at
+    once: the right one on a worker thread that the call starts and joins,
+    the left one on the calling thread; a call with one column starts no
+    thread.  Each half runs its products at the BLAS thread count in force,
+    one under the CLI (cli._pin_blas_threads).  The split depends on T
+    alone, so the result depends only on the inputs, never on thread
+    scheduling.  Every n x T and links x T work array is allocated here,
+    before the worker starts, so the worker allocates only arrays of length
+    at most T and numpy's fixed-size ufunc buffers.
     """
     a = routing_array(routing)
     vector = np.ndim(x0) == 1
-    # a copy: the loop overwrites x, and stopped columns are written into it
-    x = np.array(x0, dtype=float).reshape(len(x0), -1)
+    x0 = np.asarray(x0, dtype=float).reshape(len(x0), -1)
     y = np.asarray(link_flows, dtype=float).reshape(len(link_flows), -1)
-    if a.shape != (y.shape[0], x.shape[0]) or x.shape[1] != y.shape[1]:
-        raise ShapeError(f"routing {a.shape}, flows {x.shape} and link flows "
-                         f"{y.shape} do not match")
+    if a.shape != (y.shape[0], x0.shape[0]) or x0.shape[1] != y.shape[1]:
+        raise ShapeError(f"routing {a.shape}, flows {x0.shape} and link "
+                         f"flows {y.shape} do not match")
+    (n, t), m = x0.shape, y.shape[0]
     col = a.sum(axis=0)
     fixed = col == 0
     col_div = np.where(fixed, 1.0, col)[:, None]
-    eps = config.delta_em * np.einsum("ij,ij->j", x, x)
-    # the columns cols of x still move; xa and ya hold them, eps their limits
-    cols, xa, ya = np.arange(x.shape[1]), x, y
-    col_steps = np.full(x.shape[1], config.r_max_em)
-    floored = steps = 0
-    while cols.size and steps < config.r_max_em:
-        steps += 1
-        ax = a @ xa
-        zero = ax == 0.0
-        hit = zero & (ya > 0)
-        if hit.any():
-            floored = max(floored, int(hit.sum(axis=0).max()))
-        ax[zero] = 1e-12
-        x_new = a.T @ np.divide(ya, ax, out=ax)
-        del ax, zero, hit
-        x_new[fixed] = 1.0  # x * 1 / 1: unrouted flows stay exactly as they are
-        x_new *= xa
-        x_new /= col_div
-        xa -= x_new  # the move; on the first step this overwrites x
-        keep = np.einsum("ij,ij->j", xa, xa) >= eps
-        del xa
-        if keep.all():
-            xa = x_new
-        else:
-            stop = ~keep
-            x[:, cols[stop]] = x_new[:, stop]
-            col_steps[cols[stop]] = steps
-            xa, ya = x_new[:, keep], ya[:, keep]
-            eps, cols = eps[keep], cols[keep]
-        del x_new
-    x[:, cols] = xa
+    eps = config.delta_em * np.einsum("ij,ij->j", x0, x0)
+    x = np.empty((n, t))
+    col_steps = np.full(t, config.r_max_em)
+    # work arrays, flat, for both halves: the moving columns of x and y in
+    # two buffers each (compaction takes from one into the other), A x and
+    # the GEMM output X_new, and the masks of zero and floored loads
+    rows, dtypes = (n, n, m, m, m, m, m), (float,) * 5 + (bool,) * 2
+    flat = [np.empty(r * t, dtype) for r, dtype in zip(rows, dtypes)]
+    halves = []
+    for lo, hi in ((0, t // 2), (t // 2, t)):
+        if hi > lo:
+            work = [buf[r * lo:r * hi] for buf, r in zip(flat, rows)]
+            halves.append((a, fixed, col_div, config.r_max_em, x0[:, lo:hi],
+                           y[:, lo:hi], eps[lo:hi], x[:, lo:hi],
+                           col_steps[lo:hi], work))
+    if len(halves) == 2:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            right = pool.submit(_em_columns, *halves[1])
+            runs = [_em_columns(*halves[0]), right.result()]
+    else:
+        runs = [_em_columns(*half) for half in halves]
+    steps = max((r[0] for r in runs), default=0)
+    floored = max((r[1] for r in runs), default=0)
     logger.info("refine_em: %d columns, %d steps, per column median %g and "
-                "max %d, %d still moving at r_max_em", x.shape[1], steps,
+                "max %d, %d still moving at r_max_em", t, steps,
                 np.median(col_steps) if col_steps.size else 0,
-                col_steps.max(initial=0), cols.size)
+                col_steps.max(initial=0), sum(r[2] for r in runs))
     if floored:
         logger.warning("refine_em: up to %d links of a column had zero "
                        "predicted load but positive observation; denominator "
                        "floored", floored)
     return x[:, 0] if vector else x
+
+
+def _em_columns(a, fixed, col_div, r_max, x0, y, eps, x, col_steps, work):
+    """refine_em's loop on the columns of x0 (n x w) and y, into x.
+
+    Writes each column's result into x and its step count into col_steps
+    (left at r_max for a column still moving), and returns the steps run,
+    the floor count and the columns still moving.  The moving columns live
+    in the flat buffers of work, each as a C-ordered prefix; beyond those it
+    allocates only arrays of length w and numpy's fixed-size ufunc buffers
+    (the broadcast division by col_div takes one of 64 KiB).
+    """
+    (n, w), m = x0.shape, y.shape[0]
+    x_bufs, y_bufs, ax_buf, zero_buf, hit_buf = work[:2], work[2:4], *work[4:]
+
+    def view(buf, rows, k):
+        return buf[:rows * k].reshape(rows, k)
+
+    # the columns cols still move; xa and ya hold them, eps their limits
+    cols = np.arange(w)
+    xa, ya = view(x_bufs[0], n, w), view(y_bufs[0], m, w)
+    np.copyto(xa, x0)
+    np.copyto(ya, y)
+    floored = steps = 0
+    while cols.size and steps < r_max:
+        steps += 1
+        k = cols.size
+        ax = np.matmul(a, xa, out=view(ax_buf, m, k))
+        zero = np.equal(ax, 0.0, out=view(zero_buf, m, k))
+        hit = np.greater(ya, 0.0, out=view(hit_buf, m, k))
+        hit &= zero
+        if hit.any():
+            floored = max(floored, int(hit.sum(axis=0).max()))
+        ax[zero] = 1e-12
+        x_new = np.matmul(a.T, np.divide(ya, ax, out=ax),
+                          out=view(x_bufs[1], n, k))
+        x_new[fixed] = 1.0  # x * 1 / 1: unrouted flows stay exactly as they are
+        x_new *= xa
+        x_new /= col_div
+        xa -= x_new  # the move; xa is not read again
+        keep = np.einsum("ij,ij->j", xa, xa) >= eps
+        if keep.all():
+            xa = x_new
+            x_bufs.reverse()
+        else:
+            # mode="clip" takes straight into out; "raise" would buffer
+            stop = np.flatnonzero(~keep)
+            x[:, cols[stop]] = np.take(x_new, stop, axis=1, mode="clip",
+                                       out=view(x_bufs[0], n, stop.size))
+            col_steps[cols[stop]] = steps
+            kept = np.flatnonzero(keep)
+            xa = np.take(x_new, kept, axis=1, mode="clip",
+                         out=view(x_bufs[0], n, kept.size))
+            ya = np.take(ya, kept, axis=1, mode="clip",
+                         out=view(y_bufs[1], m, kept.size))
+            y_bufs.reverse()
+            eps, cols = eps[keep], cols[keep]
+    x[:, cols] = xa
+    return steps, floored, cols.size
 
 
 def estimate_od_flows(link_flows, model: FactorModel,

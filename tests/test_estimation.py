@@ -13,7 +13,10 @@ Covers:
   - EM refinement: exact fixed point, zero observation, boundary ML problem
     against a grid-search oracle, scale equivariance, zero-column skip,
     denominator floor logging, byte identity and the same log lines as the
-    gather-and-scatter reference loop, inputs left unchanged
+    gather-and-scatter reference loop on the two column halves, inputs left
+    unchanged; the worker thread: same bytes from call to call and under
+    concurrent calls, none for one column, none left running, an error in
+    its half raised by the call
   - end-to-end column estimation: consistency, nonnegativity, batch shape,
     negative and non-finite link flows refused with the cell named
 """
@@ -21,6 +24,8 @@ Covers:
 import itertools
 import logging
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -407,8 +412,10 @@ def test_em_batch_matches_columns():
 def _reference_refine_em(x0, link_flows, a, config):
     """The EM loop refine_em ran before it kept its moving columns in one
     working array: it gathers them from x and scatters them back each step.
-    Returns the estimate, the floor count the warning reports, the steps
-    run, each column's step count and the columns still moving."""
+    It runs on the columns left of T // 2 and then on the rest, the halves
+    that refine_em splits the window into.  Returns the estimate, the floor
+    count the warning reports, the steps run (the more of the two halves),
+    each column's step count and the columns still moving."""
     vector = np.ndim(x0) == 1
     x = np.array(x0, dtype=float).reshape(len(x0), -1)
     y = np.asarray(link_flows, dtype=float).reshape(len(link_flows), -1)
@@ -416,30 +423,34 @@ def _reference_refine_em(x0, link_flows, a, config):
     fixed = col == 0
     col_div = np.where(fixed, 1.0, col)[:, None]
     eps_min = config.delta_em * np.einsum("ij,ij->j", x, x)
-    cols = np.arange(x.shape[1])
-    col_steps = np.full(x.shape[1], config.r_max_em)
-    floored = steps = 0
-    for _ in range(config.r_max_em):
-        if not cols.size:
-            break
-        steps += 1
-        xa, ya = x[:, cols], y[:, cols]
-        ax = a @ xa
-        zero = ax == 0.0
-        hit = zero & (ya > 0)
-        if hit.any():
-            floored = max(floored, int(hit.sum(axis=0).max()))
-        ax[zero] = 1e-12
-        x_new = a.T @ np.divide(ya, ax, out=ax)
-        x_new[fixed] = 1.0
-        x_new *= xa
-        x_new /= col_div
-        x[:, cols] = x_new
-        xa -= x_new
-        keep = np.einsum("ij,ij->j", xa, xa) >= eps_min[cols]
-        col_steps[cols[~keep]] = steps
-        cols = cols[keep]
-    return (x[:, 0] if vector else x), floored, steps, col_steps, cols.size
+    t = x.shape[1]
+    col_steps = np.full(t, config.r_max_em)
+    floored = steps = moving = 0
+    for lo, hi in ((0, t // 2), (t // 2, t)):
+        cols = np.arange(lo, hi)
+        for step in range(1, config.r_max_em + 1):
+            if not cols.size:
+                break
+            steps = max(steps, step)
+            xa = np.ascontiguousarray(x[:, cols])
+            ya = np.ascontiguousarray(y[:, cols])
+            ax = a @ xa
+            zero = ax == 0.0
+            hit = zero & (ya > 0)
+            if hit.any():
+                floored = max(floored, int(hit.sum(axis=0).max()))
+            ax[zero] = 1e-12
+            x_new = a.T @ np.divide(ya, ax, out=ax)
+            x_new[fixed] = 1.0
+            x_new *= xa
+            x_new /= col_div
+            x[:, cols] = x_new
+            xa -= x_new
+            keep = np.einsum("ij,ij->j", xa, xa) >= eps_min[cols]
+            col_steps[cols[~keep]] = step
+            cols = cols[keep]
+        moving += cols.size
+    return (x[:, 0] if vector else x), floored, steps, col_steps, moving
 
 
 def _em_cases():
@@ -559,6 +570,111 @@ def test_em_shape_mismatch():
         refine_em(np.ones(3), np.ones(2), np.ones((2, 2)))
     with pytest.raises(ShapeError):
         refine_em(np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2)))
+
+
+def _wide_em_case():
+    """A 241-column window whose columns stop at many different steps, some
+    at step 1 (exact flows), some still moving at the cap."""
+    rng = np.random.default_rng(23)
+    n, links, t = 40, 15, 241
+    a = (rng.random((links, n)) < 0.3).astype(float)
+    a[rng.integers(0, links, size=n), np.arange(n)] = 1.0
+    x0 = rng.random((n, t)) * 10.0 ** rng.integers(-2, 3, size=t)
+    y = rng.random((links, t)) * 3
+    exact = np.arange(0, t, 7)
+    x0[:, exact] = rng.integers(1, 9, size=(n, exact.size))
+    y[:, exact] = a @ x0[:, exact]
+    return x0, y, a, EstimatorConfig(r_max_em=150, delta_em=1e-8)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The threads started while the test runs, as a list."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def test_em_wide_odd_window_matches_reference_and_repeats(started_threads):
+    x0, y, a, cfg = _wide_em_case()
+    want, _, _, col_steps, moving = _reference_refine_em(x0, y, a, cfg)
+    assert len(set(col_steps.tolist())) > 10 and 1 in col_steps and moving
+    first = refine_em(x0, y, a, cfg)
+    assert first.tobytes() == want.tobytes()
+    assert refine_em(x0, y, a, cfg).tobytes() == first.tobytes()
+    assert len(started_threads) == 2  # one worker per call
+
+
+def test_em_one_column_starts_no_thread(started_threads):
+    x0, y, a, cfg = _wide_em_case()
+    before = threading.active_count()
+    refine_em(x0[:, 3], y[:, 3], a, cfg)
+    refine_em(x0[:, :1], y[:, :1], a, cfg)
+    model = _orthonormal_model()
+    estimate_od_flow(np.array([1.0, 0.0, 2.0, 0.0, 0.5, 0.0]), model)
+    assert started_threads == []
+    refine_em(x0[:, :2], y[:, :2], a, cfg)
+    assert len(started_threads) == 1
+    assert threading.active_count() == before
+
+
+def test_em_leaves_thread_count_unchanged():
+    x0, y, a, cfg = _wide_em_case()
+    before = threading.active_count()
+    for r_max in (0, 1, cfg.r_max_em):
+        refine_em(x0, y, a, EstimatorConfig(r_max_em=r_max))
+        assert threading.active_count() == before
+
+
+def test_em_concurrent_calls_match_reference():
+    # six calls at once, each with its own worker, on two cores and with
+    # thread switches forced often: every result is the reference's bytes
+    x0, y, a, cfg = _wide_em_case()
+    want = _reference_refine_em(x0, y, a, cfg)[0].tobytes()
+    got = [None] * 6
+
+    def call(i):
+        got[i] = refine_em(x0, y, a, cfg).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [want] * 6
+
+
+def test_em_error_in_worker_half_propagates(monkeypatch):
+    # the worker runs the right half; an error there ends the call, after
+    # the worker thread has ended
+    caller, workers = threading.get_ident(), []
+    columns = estimation._em_columns
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            workers.append(threading.current_thread())
+            raise RuntimeError("right half failed")
+        return columns(*args)
+
+    monkeypatch.setattr(estimation, "_em_columns", failing)
+    x0, y, a, cfg = _wide_em_case()
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="right half failed"):
+        refine_em(x0, y, a, cfg)
+    assert len(workers) == 1 and not workers[0].is_alive()
+    assert threading.active_count() == before
 
 
 # --------------------------------------------------------------- end to end
