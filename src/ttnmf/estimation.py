@@ -214,7 +214,7 @@ def _em_columns(a, fixed, col_div, r_max, x0, y, eps, x, col_steps, work):
         x_new[fixed] = 1.0  # x * 1 / 1: unrouted flows stay exactly as they are
         x_new *= xa
         x_new /= col_div
-        xa -= x_new  # the move; xa is not read again
+        xa -= x_new  # the move; only its norms are read before xa is reused
         keep = np.einsum("ij,ij->j", xa, xa) >= eps
         if keep.all():
             xa = x_new
