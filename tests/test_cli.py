@@ -159,22 +159,28 @@ def test_gappy_mask_trains_without_a_flag(tmp_path, capsys):
     assert not (tmp_path / "other").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_nonfinite_delta_em_exits_1(tmp_path, capsys, value):
-    # a non-finite EM tolerance would stop EM after its first step
+@pytest.mark.parametrize("setting", [
+    "--r-max-em 5", "--delta-em nan", "r_max_em=5", "delta_em=nan"])
+def test_removed_em_setting_exits_1(tmp_path, capsys, setting):
+    # EM's step cap and stop are constants; their old flags and config keys
+    # are unknown now
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data, "--split", "40")
     assert _train(data, run) == 0
-    cfg = tmp_path / "em.cfg"
-    cfg.write_text(f"delta_em={value}\n")
     estimate = ["estimate", "--out", str(run),
                 "--model", str(run / "model.ttnmf"),
                 "--linkflows", str(data / "linkflows_test.csv")]
+    if setting.startswith("--"):
+        extra = setting.split()
+    else:
+        cfg = tmp_path / "em.cfg"
+        cfg.write_text(setting + "\n")
+        extra = ["--config", str(cfg)]
     capsys.readouterr()
-    for extra in (["--delta-em", value], ["--config", str(cfg)]):
-        assert main(estimate + extra) == 1
-        err = capsys.readouterr().err
-        assert "delta_em" in err and len(err.splitlines()) == 1
+    assert main(estimate + extra) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert setting.split()[0].split("=")[0] in err
     assert not (run / "estimated.csv").exists()
 
 
@@ -449,7 +455,7 @@ def test_one_config_file_drives_the_pipeline(tmp_path):
         f"routing={data / 'routing.csv'}\ntraffic={data / 'traffic.csv'}\n"
         "split=40\nrank=2\nlags=1,2\nq_max=3\n"
         f"model={run / 'model.ttnmf'}\n"
-        f"linkflows={data / 'linkflows_test.csv'}\nr_max_em=5\n"
+        f"linkflows={data / 'linkflows_test.csv'}\n"
         f"true_path={data / 'traffic_test.csv'}\n"
         f"est_path={run / 'estimated.csv'}\n")
     for command in ("train", "estimate", "evaluate"):
@@ -535,6 +541,12 @@ def test_corrupt_archive_exits_2(tmp_path, capsys):
                                                   b"matrix latent 1 x")),
         ("negative matrix shape", data.replace(b"matrix latent 1 4",
                                                b"matrix latent -1 -4")),
+        # a header and length prefix that agree on 8e16 bytes, more than the
+        # address space, with 16 bytes after them
+        ("matrix beyond the file's end",
+         data[:data.index(b"matrix spatial")]
+         + b"matrix spatial 100000000 100000000\n"
+         + struct.pack("<Q", 8 * 10 ** 16) + bytes(16)),
     ]
     for name in (b"spatial", b"latent", b"ar_weights"):
         # the first float64 of the payload, after its header line and the

@@ -1,7 +1,6 @@
 """Estimator tests.
 
 Covers:
-  - config validation
   - latent window fit: orthonormal exact recovery, zero input, all-zero
     compact routing guard, never-worse-than-seed, nonneg least-squares
     residual vs. exhaustive active-set enumeration and scipy's solver, the
@@ -10,7 +9,8 @@ Covers:
     ill-conditioned window, the descent lemma for the scaled block's step,
     the info line's data fit, penalized objective, gradient mapping and
     steps, the loop's iterate against the reference loop's
-  - EM refinement: exact fixed point, zero observation, boundary ML problem
+  - EM refinement, its step cap and stop set through the module constants:
+    exact fixed point, zero observation, boundary ML problem
     against a grid-search oracle, scale equivariance, zero-column skip,
     denominator floor logging, byte identity and the same log lines as the
     gather-and-scatter reference loop on the two column halves, inputs left
@@ -32,8 +32,8 @@ import pytest
 import scipy.optimize
 
 import ttnmf.estimation as estimation
-from ttnmf.errors import ConfigError, ShapeError, ValidationError
-from ttnmf.estimation import (WINDOW_ITERS, WINDOW_NOISE, EstimatorConfig,
+from ttnmf.errors import ShapeError, ValidationError
+from ttnmf.estimation import (DELTA_EM, R_MAX_EM, WINDOW_ITERS, WINDOW_NOISE,
                               _scaled_block, estimate_latent,
                               estimate_od_flow, estimate_od_flows, refine_em)
 from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
@@ -64,14 +64,6 @@ def _nnls_enumeration_oracle(c, y):
                 r2 = float(np.sum((y - c @ h) ** 2))
                 best = min(best, r2)
     return best
-
-
-def test_estimator_config_validation():
-    EstimatorConfig()
-    with pytest.raises(ConfigError):
-        EstimatorConfig(r_max_em=-1)
-    with pytest.raises(ConfigError):
-        EstimatorConfig(delta_em=-1.0)
 
 
 # ------------------------------------------------------------- latent fit
@@ -307,12 +299,23 @@ def test_latent_shape_mismatch():
 
 # ---------------------------------------------------------- EM refinement
 
-def test_em_exact_solution_is_fixed_point():
+@pytest.fixture
+def em_limits(monkeypatch):
+    """em_limits(r_max, delta) sets R_MAX_EM and DELTA_EM for the test; an
+    omitted one keeps its value."""
+    def set_limits(r_max=R_MAX_EM, delta=DELTA_EM):
+        monkeypatch.setattr(estimation, "R_MAX_EM", r_max)
+        monkeypatch.setattr(estimation, "DELTA_EM", delta)
+    return set_limits
+
+
+def test_em_exact_solution_is_fixed_point(em_limits):
     rng = np.random.default_rng(3)
     a = (rng.random((5, 9)) < 0.5).astype(float)
     x = rng.random(9) + 0.1
     y = a @ x
-    one_step = refine_em(x, y, a, EstimatorConfig(r_max_em=1))
+    em_limits(1)
+    one_step = refine_em(x, y, a)
     rel = np.linalg.norm(one_step - x) / np.linalg.norm(x)
     assert rel < 1e-12
 
@@ -323,7 +326,7 @@ def test_em_zero_observation_drives_flows_to_zero():
     np.testing.assert_allclose(out, 0.0, atol=1e-300)
 
 
-def test_em_converges_to_grid_search_ml_point():
+def test_em_converges_to_grid_search_ml_point(em_limits):
     # 2 links over 2 OD pairs; y has no exact nonneg solution, so the
     # Poisson ML optimum sits on the boundary (second flow at 0)
     a = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -347,38 +350,38 @@ def test_em_converges_to_grid_search_ml_point():
     i, j = np.unravel_index(np.argmax(ll), ll.shape)
     oracle = np.array([f1[i], f2[j]])
 
-    got = refine_em(np.array([1.0, 1.0]), y, a,
-                    EstimatorConfig(r_max_em=2000, delta_em=1e-30))
+    em_limits(2000, 1e-30)
+    got = refine_em(np.array([1.0, 1.0]), y, a)
     np.testing.assert_allclose(got, oracle, atol=2e-4)
 
 
-def test_em_scale_equivariant():
+def test_em_scale_equivariant(em_limits):
     rng = np.random.default_rng(4)
     a = (rng.random((4, 7)) < 0.5).astype(float)
     x0 = rng.random(7)
     y = rng.random(4) * 3
-    cfg = EstimatorConfig(r_max_em=50, delta_em=1e-30)
-    base = refine_em(x0, y, a, cfg)
+    em_limits(50, 1e-30)
+    base = refine_em(x0, y, a)
     for c in (0.1, 5.0):
-        scaled = refine_em(c * x0, c * y, a, cfg)
+        scaled = refine_em(c * x0, c * y, a)
         np.testing.assert_allclose(scaled, c * base, rtol=1e-10)
 
 
-def test_em_skips_zero_columns():
+def test_em_skips_zero_columns(em_limits):
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     x0 = np.array([1.0, 7.5])
-    out = refine_em(x0, np.array([2.0, 2.0]), a,
-                    EstimatorConfig(r_max_em=100, delta_em=1e-30))
+    em_limits(100, 1e-30)
+    out = refine_em(x0, np.array([2.0, 2.0]), a)
     assert out[1] == 7.5  # unrouted flow held fixed
     assert out[0] == pytest.approx(2.0, rel=1e-10)
 
 
-def test_em_floors_zero_denominator(caplog):
+def test_em_floors_zero_denominator(em_limits, caplog):
+    em_limits(3)
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     # second flow starts at 0 with positive observation: predicted load is 0
     with caplog.at_level(logging.WARNING, logger="ttnmf.estimation"):
-        out = refine_em(np.array([1.0, 0.0]), np.array([1.0, 2.0]), a,
-                        EstimatorConfig(r_max_em=3))
+        out = refine_em(np.array([1.0, 0.0]), np.array([1.0, 2.0]), a)
     assert any("floored" in rec.message for rec in caplog.records)
     assert np.isfinite(out).all() and out.min() >= 0
     # the coupled first two flows keep EM moving for all three iterations,
@@ -386,12 +389,11 @@ def test_em_floors_zero_denominator(caplog):
     caplog.clear()
     a = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with caplog.at_level(logging.WARNING, logger="ttnmf.estimation"):
-        refine_em(np.array([1.0, 1.0, 0.0]), np.array([3.0, 2.0, 2.0]), a,
-                  EstimatorConfig(r_max_em=3))
+        refine_em(np.array([1.0, 1.0, 0.0]), np.array([3.0, 2.0, 2.0]), a)
     assert sum("floored" in rec.message for rec in caplog.records) == 1
 
 
-def test_em_batch_matches_columns():
+def test_em_batch_matches_columns(em_limits):
     # each column keeps its own stop rule: an exact column stops after one
     # step while the others run on, as they would alone
     rng = np.random.default_rng(7)
@@ -400,16 +402,16 @@ def test_em_batch_matches_columns():
     x0 = rng.random((7, 5)) + 0.1
     y = rng.random((4, 5)) * 3
     y[:, 0] = a @ x0[:, 0]
-    cfg = EstimatorConfig(r_max_em=200, delta_em=1e-6)
-    batch = refine_em(x0, y, a, cfg)
+    em_limits(200, 1e-6)
+    batch = refine_em(x0, y, a)
     for t in range(5):
         np.testing.assert_allclose(batch[:, t],
-                                   refine_em(x0[:, t], y[:, t], a, cfg),
+                                   refine_em(x0[:, t], y[:, t], a),
                                    rtol=1e-12)
     np.testing.assert_allclose(batch[:, 0], x0[:, 0], rtol=1e-12)
 
 
-def _reference_refine_em(x0, link_flows, a, config):
+def _reference_refine_em(x0, link_flows, a, r_max, delta):
     """The EM loop refine_em ran before it kept its moving columns in one
     working array: it gathers them from x and scatters them back each step.
     It runs on the columns left of T // 2 and then on the rest, the halves
@@ -422,13 +424,13 @@ def _reference_refine_em(x0, link_flows, a, config):
     col = a.sum(axis=0)
     fixed = col == 0
     col_div = np.where(fixed, 1.0, col)[:, None]
-    eps_min = config.delta_em * np.einsum("ij,ij->j", x, x)
+    eps_min = delta * np.einsum("ij,ij->j", x, x)
     t = x.shape[1]
-    col_steps = np.full(t, config.r_max_em)
+    col_steps = np.full(t, r_max)
     floored = steps = moving = 0
     for lo, hi in ((0, t // 2), (t // 2, t)):
         cols = np.arange(lo, hi)
-        for step in range(1, config.r_max_em + 1):
+        for step in range(1, r_max + 1):
             if not cols.size:
                 break
             steps = max(steps, step)
@@ -454,7 +456,8 @@ def _reference_refine_em(x0, link_flows, a, config):
 
 
 def _em_cases():
-    """(name, x0, y, a, config) cases for the reference comparison."""
+    """(name, x0, y, a, (r_max, delta)) cases for the reference
+    comparison."""
     rng = np.random.default_rng(11)
     cases = []
     for seed in range(6):
@@ -464,54 +467,52 @@ def _em_cases():
         x0 = rng.random((n, t)) * 10.0 ** rng.integers(-2, 3, size=t)
         y = rng.random((links, t)) * 3
         cases.append((f"stops at different steps {seed}", x0, y, a,
-                      EstimatorConfig(r_max_em=200, delta_em=1e-6)))
+                      (200, 1e-6)))
         # integer flows on a 0/1 routing: A x is exact, so every column is a
         # fixed point and stops after its first step
         xi = rng.integers(1, 9, size=(n, t)).astype(float)
         cases.append((f"all stop at step 1 {seed}", xi, a @ xi, a,
-                      EstimatorConfig()))
+                      (R_MAX_EM, DELTA_EM)))
         mixed, y_mixed = x0.copy(), y.copy()
         mixed[:, ::2], y_mixed[:, ::2] = xi[:, ::2], a @ xi[:, ::2]
         cases.append((f"some stop at step 1 {seed}", mixed, y_mixed, a,
-                      EstimatorConfig(r_max_em=200, delta_em=1e-6)))
+                      (200, 1e-6)))
         tiled = np.repeat(x0[:, :1], t, axis=1)
         cases.append((f"all stop together {seed}", tiled,
                       np.repeat(y[:, :1], t, axis=1), a,
-                      EstimatorConfig(r_max_em=2000, delta_em=1e-6)))
+                      (2000, 1e-6)))
         cases.append((f"none stop before the cap {seed}", x0, y, a,
-                      EstimatorConfig(r_max_em=15, delta_em=1e-30)))
+                      (15, 1e-30)))
         for r_max in (0, 1):
             cases.append((f"r_max_em {r_max} {seed}", x0, y, a,
-                          EstimatorConfig(r_max_em=r_max)))
+                          (r_max, DELTA_EM)))
         unrouted = a.copy()
         unrouted[:, [0, n - 1]] = 0.0
-        cases.append((f"unrouted pairs {seed}", x0, y, unrouted,
-                      EstimatorConfig(r_max_em=100, delta_em=1e-7)))
+        cases.append((f"unrouted pairs {seed}", x0, y, unrouted, (100, 1e-7)))
         zeros = x0.copy()
         zeros[rng.random(zeros.shape) < 0.3] = 0.0
         zeros[np.ix_(a[0] > 0, np.arange(0, t, 2))] = 0.0  # link 0 unfed
-        cases.append((f"zero starts {seed}", zeros, y, a,
-                      EstimatorConfig(r_max_em=100, delta_em=1e-7)))
-        cases.append((f"vector {seed}", x0[:, 1], y[:, 1], a,
-                      EstimatorConfig(r_max_em=100, delta_em=1e-7)))
+        cases.append((f"zero starts {seed}", zeros, y, a, (100, 1e-7)))
+        cases.append((f"vector {seed}", x0[:, 1], y[:, 1], a, (100, 1e-7)))
         cases.append((f"empty window {seed}", x0[:, :0], y[:, :0], a,
-                      EstimatorConfig()))
+                      (R_MAX_EM, DELTA_EM)))
     return cases
 
 
-@pytest.mark.parametrize("name,x0,y,a,cfg", _em_cases(),
+@pytest.mark.parametrize("name,x0,y,a,limits", _em_cases(),
                          ids=[c[0] for c in _em_cases()])
-def test_em_matches_reference_loop(caplog, name, x0, y, a, cfg):
+def test_em_matches_reference_loop(em_limits, caplog, name, x0, y, a, limits):
     want, floored, steps, col_steps, moving = _reference_refine_em(
-        x0, y, a, cfg)
+        x0, y, a, *limits)
+    em_limits(*limits)
     with caplog.at_level(logging.INFO, logger="ttnmf.estimation"):
-        got = refine_em(x0, y, a, cfg)
+        got = refine_em(x0, y, a)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     info = (f"refine_em: {col_steps.size} columns, {steps} steps, per column "
             f"median {np.median(col_steps) if col_steps.size else 0:g} and "
             f"max {col_steps.max(initial=0)}, {moving} still moving at "
-            f"r_max_em")
+            f"R_MAX_EM")
     floor = ("refine_em: up to %d links of a column had zero predicted load "
              "but positive observation; denominator floored" % floored)
     assert [rec.getMessage() for rec in caplog.records] == (
@@ -521,9 +522,9 @@ def test_em_matches_reference_loop(caplog, name, x0, y, a, cfg):
 def test_em_reference_cases_cover_each_kind():
     # the random cases really stop at different steps, together, at step 1
     # or not at all, and the zero starts hit the floor
-    for name, x0, y, a, cfg in _em_cases():
-        _, floored, _, col_steps, _ = _reference_refine_em(x0, y, a, cfg)
-        below = col_steps[col_steps < cfg.r_max_em]
+    for name, x0, y, a, limits in _em_cases():
+        _, floored, _, col_steps, _ = _reference_refine_em(x0, y, a, *limits)
+        below = col_steps[col_steps < limits[0]]
         if name.startswith("stops at different steps"):
             assert len(set(below.tolist())) > 1, name
         elif name.startswith("all stop at step 1"):
@@ -538,7 +539,7 @@ def test_em_reference_cases_cover_each_kind():
             assert floored, name
 
 
-def test_em_leaves_inputs_unchanged():
+def test_em_leaves_inputs_unchanged(em_limits):
     rng = np.random.default_rng(5)
     a = (rng.random((4, 6)) < 0.5).astype(float)
     a[rng.integers(0, 4, size=6), np.arange(6)] = 1.0
@@ -546,23 +547,24 @@ def test_em_leaves_inputs_unchanged():
                   (rng.random(6), rng.random(4))):
         x_before, y_before = x0.copy(), y.copy()
         for r_max in (0, 1, 50):
-            refine_em(x0, y, a, EstimatorConfig(r_max_em=r_max,
-                                                delta_em=1e-6))
+            em_limits(r_max, 1e-6)
+            refine_em(x0, y, a)
             assert np.array_equal(x0, x_before)
             assert np.array_equal(y, y_before)
 
 
-def test_em_logs_steps_per_column(caplog):
+def test_em_logs_steps_per_column(em_limits, caplog):
     # column 0 is an exact fixed point and stops after one step; the other
     # two are still moving at the cap
     a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     x0 = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 3.0], [3.0, 1.0, 1.0]])
     y = np.stack([a @ x0[:, 0], [5.0, 1.0], [1.0, 7.0]], axis=1)
+    em_limits(5, 1e-30)
     with caplog.at_level(logging.INFO, logger="ttnmf.estimation"):
-        refine_em(x0, y, a, EstimatorConfig(r_max_em=5, delta_em=1e-30))
+        refine_em(x0, y, a)
     assert [rec.getMessage() for rec in caplog.records] == [
         "refine_em: 3 columns, 5 steps, per column median 5 and max 5, "
-        "2 still moving at r_max_em"]
+        "2 still moving at R_MAX_EM"]
 
 
 def test_em_shape_mismatch():
@@ -573,8 +575,9 @@ def test_em_shape_mismatch():
 
 
 def _wide_em_case():
-    """A 241-column window whose columns stop at many different steps, some
-    at step 1 (exact flows), some still moving at the cap."""
+    """A 241-column window, with its (r_max, delta), whose columns stop at
+    many different steps, some at step 1 (exact flows), some still moving at
+    the cap."""
     rng = np.random.default_rng(23)
     n, links, t = 40, 15, 241
     a = (rng.random((links, n)) < 0.3).astype(float)
@@ -584,7 +587,7 @@ def _wide_em_case():
     exact = np.arange(0, t, 7)
     x0[:, exact] = rng.integers(1, 9, size=(n, exact.size))
     y[:, exact] = a @ x0[:, exact]
-    return x0, y, a, EstimatorConfig(r_max_em=150, delta_em=1e-8)
+    return x0, y, a, (150, 1e-8)
 
 
 @pytest.fixture
@@ -601,46 +604,51 @@ def started_threads(monkeypatch):
     return started
 
 
-def test_em_wide_odd_window_matches_reference_and_repeats(started_threads):
-    x0, y, a, cfg = _wide_em_case()
-    want, _, _, col_steps, moving = _reference_refine_em(x0, y, a, cfg)
+def test_em_wide_odd_window_matches_reference_and_repeats(em_limits,
+                                                           started_threads):
+    x0, y, a, limits = _wide_em_case()
+    want, _, _, col_steps, moving = _reference_refine_em(x0, y, a, *limits)
     assert len(set(col_steps.tolist())) > 10 and 1 in col_steps and moving
-    first = refine_em(x0, y, a, cfg)
+    em_limits(*limits)
+    first = refine_em(x0, y, a)
     assert first.tobytes() == want.tobytes()
-    assert refine_em(x0, y, a, cfg).tobytes() == first.tobytes()
+    assert refine_em(x0, y, a).tobytes() == first.tobytes()
     assert len(started_threads) == 2  # one worker per call
 
 
-def test_em_one_column_starts_no_thread(started_threads):
-    x0, y, a, cfg = _wide_em_case()
+def test_em_one_column_starts_no_thread(em_limits, started_threads):
+    x0, y, a, limits = _wide_em_case()
+    em_limits(*limits)
     before = threading.active_count()
-    refine_em(x0[:, 3], y[:, 3], a, cfg)
-    refine_em(x0[:, :1], y[:, :1], a, cfg)
+    refine_em(x0[:, 3], y[:, 3], a)
+    refine_em(x0[:, :1], y[:, :1], a)
     model = _orthonormal_model()
     estimate_od_flow(np.array([1.0, 0.0, 2.0, 0.0, 0.5, 0.0]), model)
     assert started_threads == []
-    refine_em(x0[:, :2], y[:, :2], a, cfg)
+    refine_em(x0[:, :2], y[:, :2], a)
     assert len(started_threads) == 1
     assert threading.active_count() == before
 
 
-def test_em_leaves_thread_count_unchanged():
-    x0, y, a, cfg = _wide_em_case()
+def test_em_leaves_thread_count_unchanged(em_limits):
+    x0, y, a, limits = _wide_em_case()
     before = threading.active_count()
-    for r_max in (0, 1, cfg.r_max_em):
-        refine_em(x0, y, a, EstimatorConfig(r_max_em=r_max))
+    for r_max in (0, 1, limits[0]):
+        em_limits(r_max)
+        refine_em(x0, y, a)
         assert threading.active_count() == before
 
 
-def test_em_concurrent_calls_match_reference():
+def test_em_concurrent_calls_match_reference(em_limits):
     # six calls at once, each with its own worker, on two cores and with
     # thread switches forced often: every result is the reference's bytes
-    x0, y, a, cfg = _wide_em_case()
-    want = _reference_refine_em(x0, y, a, cfg)[0].tobytes()
+    x0, y, a, limits = _wide_em_case()
+    want = _reference_refine_em(x0, y, a, *limits)[0].tobytes()
+    em_limits(*limits)
     got = [None] * 6
 
     def call(i):
-        got[i] = refine_em(x0, y, a, cfg).tobytes()
+        got[i] = refine_em(x0, y, a).tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -656,7 +664,7 @@ def test_em_concurrent_calls_match_reference():
     assert got == [want] * 6
 
 
-def test_em_error_in_worker_half_propagates(monkeypatch):
+def test_em_error_in_worker_half_propagates(em_limits, monkeypatch):
     # the worker runs the right half; an error there ends the call, after
     # the worker thread has ended
     caller, workers = threading.get_ident(), []
@@ -669,10 +677,11 @@ def test_em_error_in_worker_half_propagates(monkeypatch):
         return columns(*args)
 
     monkeypatch.setattr(estimation, "_em_columns", failing)
-    x0, y, a, cfg = _wide_em_case()
+    x0, y, a, limits = _wide_em_case()
+    em_limits(*limits)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="right half failed"):
-        refine_em(x0, y, a, cfg)
+        refine_em(x0, y, a)
     assert len(workers) == 1 and not workers[0].is_alive()
     assert threading.active_count() == before
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -194,6 +195,20 @@ def test_archive_truncated(tmp_path):
     data = p.read_bytes()
     p.write_bytes(data[: len(data) - 16])
     with pytest.raises(ParseError, match="truncated"):
+        load_model(p)
+
+
+def test_archive_matrix_beyond_the_end_is_not_read(tmp_path):
+    # the header and the length prefix agree on 8e16 bytes, more than the
+    # address space; 16 bytes follow.  The size is checked against the bytes
+    # left in the file, so no read of that size is made.
+    p = tmp_path / "m"
+    save_model(p, _small_archive())
+    data = p.read_bytes()
+    start = data.index(b"matrix spatial")
+    p.write_bytes(data[:start] + b"matrix spatial 100000000 100000000\n"
+                  + struct.pack("<Q", 8 * 10 ** 16) + bytes(16))
+    with pytest.raises(ParseError, match="truncated matrix spatial"):
         load_model(p)
 
 

@@ -1,8 +1,8 @@
 """Trainer tests.
 
 Covers:
-  - config validation; integer settings of LagSet, TrainConfig and
-    EstimatorConfig refuse other types
+  - config validation; integer settings of LagSet and TrainConfig refuse
+    other types
   - momentum schedule hand value
   - analytic gradients: stationary point, finite differences (also with
     per-row temporal weights), lambda = 0 reduction
@@ -20,7 +20,8 @@ Covers:
   - missing data: em_mask_step selection oracle and trivial masks
   - train: monotone trace, nonneg iterates, planted fit quality, plain-NMF
     reduction, input validation (non-finite cells included), a gappy mask
-    trained by EM imputation without reading its unobserved cells,
+    trained by EM imputation with a monotone trace and without reading its
+    unobserved cells,
     non-finite guard, the seed residual's memory, each block update
     called through its module name once per outer iteration
   - stop rule: converged before q_max on the acceptance scenarios (full and
@@ -42,7 +43,6 @@ import ttnmf.factors as factors
 import ttnmf.training as training
 from ttnmf.errors import (ConfigError, NumericalFailure, ShapeError, UsageError,
                           ValidationError)
-from ttnmf.estimation import EstimatorConfig
 from ttnmf.factors import (FactorModel, LagSet, RegularizationWeights,
                            build_temporal_graph, lag_designs,
                            objective_value, ortho_penalty_value,
@@ -100,8 +100,7 @@ def test_config_validation():
     (lambda: TrainConfig(rank=2, q_max=2.5), "q_max"),
     (lambda: TrainConfig(rank=2.5), "rank"),
     (lambda: TrainConfig(rank="2"), "rank"),
-    (lambda: EstimatorConfig(r_max_em=2.5), "r_max_em"),
-], ids=["lags", "q_max", "rank", "rank_text", "r_max_em"])
+], ids=["lags", "q_max", "rank", "rank_text"])
 def test_integer_settings_reject_other_types(make, name):
     # a float is not truncated and no string is parsed when the object is
     # made; numpy integers pass
@@ -114,21 +113,18 @@ def test_integer_settings_reject_other_types(make, name):
 @pytest.mark.parametrize("make, name", [
     (lambda: TrainConfig(rank=2, beta_temporal="0.2"), "beta_temporal"),
     (lambda: TrainConfig(rank=2, beta_ortho=None), "beta_ortho"),
-    (lambda: EstimatorConfig(delta_em="1e-9"), "delta_em"),
     (lambda: RegularizationWeights(lambda_temporal="1"), "lambda_temporal"),
     (lambda: RegularizationWeights(lambda_ortho=[1.0]), "lambda_ortho"),
     (lambda: RegularizationWeights(beta_temporal="0"), "beta_temporal"),
     (lambda: RegularizationWeights(beta_ortho=None), "beta_ortho"),
-], ids=["train_beta_temporal", "train_beta_ortho", "delta_em",
-        "lambda_temporal", "lambda_ortho", "weights_beta_temporal",
-        "weights_beta_ortho"])
+], ids=["train_beta_temporal", "train_beta_ortho", "lambda_temporal",
+        "lambda_ortho", "weights_beta_temporal", "weights_beta_ortho"])
 def test_real_settings_reject_other_types(make, name):
-    # every float field of TrainConfig, EstimatorConfig and
-    # RegularizationWeights: no string is parsed and None is not a number;
-    # ints and numpy floats pass
+    # every float field of TrainConfig and RegularizationWeights: no string
+    # is parsed and None is not a number; ints and numpy floats pass
     with pytest.raises(ConfigError, match=f"{name} must be a real number"):
         make()
-    assert EstimatorConfig(delta_em=np.float32(1e-3)).delta_em > 0
+    assert TrainConfig(rank=2, beta_ortho=np.float32(0.5)).beta_ortho > 0
     assert RegularizationWeights(1, np.float64(2.0), 0, 1).beta_ortho == 1
 
 
@@ -692,7 +688,7 @@ def test_train_without_penalties_is_plain_nmf():
     assert report.objective_trace[-1] <= report.objective_trace[0]
 
 
-def test_train_em_mask_and_weighted_fill_run():
+def test_train_em_mask_trace_is_monotone():
     # a gappy mask trains by EM imputation, the one path for missing data
     scen = generate_synthetic(n_routers=4, planted_rank=2, n_timestamps=60,
                               planted_lags=LagSet([1]), noise_level=0.0,
