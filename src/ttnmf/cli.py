@@ -97,8 +97,6 @@ def _build_parser() -> tuple[_Parser, dict]:
                    default=TrainConfig.beta_temporal)
     p.add_argument("--beta-a", dest="beta_a", type=float,
                    default=TrainConfig.beta_ortho)
-    p.add_argument("--q-max", dest="q_max", type=int,
-                   default=TrainConfig.q_max)
     p.add_argument("--split", type=int)
     p.add_argument("--profile", choices=tuple(PROFILES))
 
@@ -249,7 +247,7 @@ def _cmd_train(args) -> int:
 
     config = TrainConfig(
         rank=args.rank, lag_set=LagSet.from_text(args.lags),
-        beta_temporal=args.beta_h, beta_ortho=args.beta_a, q_max=args.q_max)
+        beta_temporal=args.beta_h, beta_ortho=args.beta_a)
     model, report = train(traffic, routing, config)
 
     out = _outdir(args)
@@ -307,14 +305,16 @@ def _cmd_evaluate(args) -> int:
         raise ShapeError(
             f"{args.true_path}, {args.est_path}: true shape {x_true.shape} "
             f"!= estimated shape {x_est.shape}")
+    if not x_true.any():
+        raise ValidationError(f"{args.true_path}: true OD matrix is all zero")
     row_err = sre(x_true, x_est)
     col_err = tre(x_true, x_est)
+    row_stats = summary_stats(row_err)
+    col_stats = summary_stats(col_err)
     out = _outdir(args)
     for name, err in (("sre.csv", row_err), ("tre.csv", col_err)):
         with _replaced_on_success(out / name) as tmp:
             write_matrix_csv(tmp, err.values.reshape(-1, 1))
-    row_stats = summary_stats(row_err)
-    col_stats = summary_stats(col_err)
     with _text_replaced_on_success(out / "stats.csv") as fh:
         fh.write("stat,sre,tre\n")
         for key in ("min", "max", "mean", "median", "std"):

@@ -23,6 +23,8 @@ from .network import TrafficMatrix
 logger = logging.getLogger(__name__)
 
 BLOCKS = ("spatial", "latent", "ar")
+# outer iterations of train, read at each call
+Q_MAX = 50
 # inner iterations of each block per outer iteration
 Q_BLOCK_MAX = 10
 # training stops once the penalized objective F falls by less than DELTA * F
@@ -36,20 +38,18 @@ EM_WARMUP_ITERS = 10
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settings of a train() call; the loop tolerances are the module
-    constants Q_BLOCK_MAX, DELTA and BLOCK_DELTAS."""
+    """Settings of a train() call; the loop caps and tolerances are the
+    module constants Q_MAX, Q_BLOCK_MAX, DELTA and BLOCK_DELTAS."""
 
     rank: int
     lag_set: LagSet = LagSet()
     beta_temporal: float = 0.2
     beta_ortho: float = 0.2
-    q_max: int = 50
 
     def __post_init__(self):
-        for name in ("rank", "q_max"):
-            value = integer(name, getattr(self, name))
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        rank = integer("rank", self.rank)
+        if rank < 1:
+            raise ConfigError(f"rank must be >= 1, got {rank}")
         for name in ("beta_temporal", "beta_ortho"):
             b = real(name, getattr(self, name))
             if not 0.0 <= b <= 1.0:
@@ -67,7 +67,7 @@ class TrainReport:
     block_iteration_counts holds each block's inner iterations per outer
     iteration; for the AR block these are passes of its one loop over all
     latent rows, the most that any row took.  stop_reason is "converged" or
-    "q_max".
+    "q_max", after Q_MAX outer iterations.
     """
 
     objective_trace: list
@@ -386,7 +386,7 @@ def train(traffic, routing, config: TrainConfig):
     weights it was trained with.  The objective trace records the data-fit
     error after every outer iteration and never increases; it comes from the
     latent block's Gram products, so no iteration forms the n x T residual.
-    Training stops at q_max, or once the penalized objective F falls by less
+    Training stops at Q_MAX, or once the penalized objective F falls by less
     than DELTA * F of the previous iteration; a rise of F never stops it.
     A mask with an unobserved cell trains by EM imputation: from an SVD seed
     of mask o X, every outer iteration fits X with those cells filled from
@@ -417,9 +417,8 @@ def train(traffic, routing, config: TrainConfig):
         # penalties tuned at the zero-filled seed come out far too strong,
         # so tune them after a penalty-free warm-up on the EM-filled data
         for q in range(1, EM_WARMUP_ITERS + 1):
-            model = _outer_iteration(
-                em_mask_step(x, mask, model.spatial, model.latent), model,
-                q)[0]
+            x_work = em_mask_step(x, mask, model.spatial, model.latent)
+            model = _outer_iteration(x_work, model, q)[0]
     x_work = em_mask_step(x, mask, model.spatial, model.latent) if gappy else x
     model = replace(model, ar_weights=init_lag_weights(model.latent, lag_set))
     # the seed's data fit, shared by the penalty scale and the trace
@@ -435,8 +434,8 @@ def train(traffic, routing, config: TrainConfig):
     counts = {b: [] for b in BLOCKS}
     stop_reason = "q_max"
 
-    for q in range(1, config.q_max + 1):
-        if gappy:
+    for q in range(1, Q_MAX + 1):
+        if gappy and q > 1:  # q = 1 fits the fill that the seed fit used
             x_work = em_mask_step(x, mask, model.spatial, model.latent)
         model, fit, iters = _outer_iteration(x_work, model, q)
         for b, n_b in zip(BLOCKS, iters):

@@ -1,11 +1,13 @@
 """Shared pytest hooks: per-criterion pass/fail lines for the acceptance
-suite, and the reference accelerated loop that training and estimation
-tests compare _nesterov_loop against."""
+suite, the reference accelerated loop that training and estimation tests
+compare _nesterov_loop against, and a cap on training's outer loop."""
 
 import math
 
 import numpy as np
 import pytest
+
+import ttnmf.training as training
 
 _RESULTS = {}
 
@@ -75,3 +77,12 @@ def _reference_nesterov_loop(b0, grad, err, lip, q_max, rel_tol=None,
 @pytest.fixture
 def reference_nesterov_loop():
     return _reference_nesterov_loop
+
+
+@pytest.fixture
+def set_q_max(monkeypatch):
+    """set_q_max(n) sets training.Q_MAX, the outer-iteration cap of train,
+    to n for the test."""
+    def set_cap(n):
+        monkeypatch.setattr(training, "Q_MAX", n)
+    return set_cap

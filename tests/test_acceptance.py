@@ -99,7 +99,7 @@ def test_criterion_2_block_gradients_match_finite_differences():
 def test_criterion_3_training_trace_is_monotone():
     start = time.perf_counter()
     scen = generate_synthetic(6, 4, 300, LagSet((1, 2)), 0.05, seed=3)
-    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)), q_max=50)
+    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)))
     _, report = train(scen.traffic, scen.routing, cfg)
     trace = report.objective_trace
     assert len(trace) >= 2

@@ -86,11 +86,12 @@ def _train(data, out, *extra):
     args = ["train", "--out", str(out),
             "--routing", str(data / "routing.csv"),
             "--traffic", str(data / "traffic.csv"),
-            "--rank", "2", "--lags", "1,2", "--q-max", "5"]
+            "--rank", "2", "--lags", "1,2"]
     return main(args + list(extra))
 
 
-def test_train_writes_model_and_trace(tmp_path):
+def test_train_writes_model_and_trace(tmp_path, set_q_max):
+    set_q_max(5)
     data, out = tmp_path / "data", tmp_path / "run"
     _synth(data)
     assert _train(data, out) == 0
@@ -113,14 +114,15 @@ def test_train_writes_model_and_trace(tmp_path):
         assert iters == [0, 0, 0] if q == 0 else min(iters) >= 1
 
 
-def test_full_pipeline_round_trip(tmp_path):
+def test_full_pipeline_round_trip(tmp_path, set_q_max):
+    set_q_max(10)
     data = tmp_path / "data"
     run = tmp_path / "run"
     _synth(data, "--split", "40")
     args = ["train", "--out", str(run),
             "--routing", str(data / "routing.csv"),
             "--traffic", str(data / "traffic.csv"),
-            "--split", "40", "--rank", "2", "--lags", "1,2", "--q-max", "10"]
+            "--split", "40", "--rank", "2", "--lags", "1,2"]
     assert main(args) == 0
     assert main(["estimate", "--out", str(run),
                  "--model", str(run / "model.ttnmf"),
@@ -136,8 +138,9 @@ def test_full_pipeline_round_trip(tmp_path):
         assert (run / name).exists()
 
 
-def test_gappy_mask_trains_without_a_flag(tmp_path, capsys):
+def test_gappy_mask_trains_without_a_flag(tmp_path, capsys, set_q_max):
     # a mask with unobserved cells trains by EM imputation, the one path
+    set_q_max(5)
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data, "--mask-fraction", "0.3")
     mask = ["--mask", str(data / "mask.csv")]
@@ -159,34 +162,56 @@ def test_gappy_mask_trains_without_a_flag(tmp_path, capsys):
     assert not (tmp_path / "other").exists()
 
 
+def _removed_setting(tmp_path, capsys, setting, run):
+    """run(extra arguments) with setting, a "--flag value" or a "key=value"
+    line of a config file, must exit 1 with one stderr line naming the flag
+    or key."""
+    if setting.startswith("--"):
+        extra = setting.split()
+    else:
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(setting + "\n")
+        extra = ["--config", str(cfg)]
+    capsys.readouterr()
+    assert run(extra) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert setting.split()[0].split("=")[0] in err
+
+
 @pytest.mark.parametrize("setting", [
     "--r-max-em 5", "--delta-em nan", "r_max_em=5", "delta_em=nan"])
-def test_removed_em_setting_exits_1(tmp_path, capsys, setting):
+def test_removed_em_setting_exits_1(tmp_path, capsys, setting, set_q_max):
     # EM's step cap and stop are constants; their old flags and config keys
     # are unknown now
+    set_q_max(5)
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data, "--split", "40")
     assert _train(data, run) == 0
     estimate = ["estimate", "--out", str(run),
                 "--model", str(run / "model.ttnmf"),
                 "--linkflows", str(data / "linkflows_test.csv")]
-    if setting.startswith("--"):
-        extra = setting.split()
-    else:
-        cfg = tmp_path / "em.cfg"
-        cfg.write_text(setting + "\n")
-        extra = ["--config", str(cfg)]
-    capsys.readouterr()
-    assert main(estimate + extra) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert setting.split()[0].split("=")[0] in err
+    _removed_setting(tmp_path, capsys, setting,
+                     lambda extra: main(estimate + extra))
     assert not (run / "estimated.csv").exists()
+
+
+@pytest.mark.parametrize("setting", ["--q-max 5", "q_max=5"])
+def test_removed_train_setting_exits_1(tmp_path, capsys, setting):
+    # training's outer-loop cap is the constant training.Q_MAX; its old flag
+    # and config key are unknown now
+    data, run = tmp_path / "data", tmp_path / "run"
+    _synth(data)
+    _removed_setting(tmp_path, capsys, setting,
+                     lambda extra: _train(data, run, *extra))
+    assert not (run / "model.ttnmf").exists()
 
 
 _PIPELINE = """
 import sys
+import ttnmf.training
 from ttnmf.cli import main
+ttnmf.training.Q_MAX = 5
 data, run = sys.argv[1] + "/data", sys.argv[1] + "/run"
 routers, rank, T, split, lags = sys.argv[2:]
 for argv in (
@@ -194,7 +219,7 @@ for argv in (
          "--T", T, "--lags", lags, "--split", split, "--seed", "7"],
         ["train", "--out", run, "--routing", data + "/routing.csv",
          "--traffic", data + "/traffic.csv", "--split", split, "--rank", rank,
-         "--lags", lags, "--q-max", "5"],
+         "--lags", lags],
         ["estimate", "--out", run, "--model", run + "/model.ttnmf",
          "--linkflows", data + "/linkflows_test.csv"],
         ["evaluate", "--out", run, "--true", data + "/traffic_test.csv",
@@ -272,7 +297,8 @@ def test_main_runs_openblas_on_one_thread(tmp_path):
     assert getter() == 1
 
 
-def test_estimate_link_count_mismatch_exits_2(tmp_path, capsys):
+def test_estimate_link_count_mismatch_exits_2(tmp_path, capsys, set_q_max):
+    set_q_max(5)
     data, out = tmp_path / "data", tmp_path / "run"
     _synth(data)
     _train(data, out)
@@ -316,6 +342,19 @@ def test_evaluate_counts_undefined_rows(tmp_path):
     assert stats[-1] == "undefined,1,0"
 
 
+def test_evaluate_all_zero_truth_exits_2(tmp_path, capsys):
+    # no relative error is defined, so nothing is summarized or written
+    zero, est = tmp_path / "zero.csv", tmp_path / "est.csv"
+    write_matrix_csv(zero, np.zeros((2, 3)))
+    write_matrix_csv(est, np.ones((2, 3)))
+    run = tmp_path / "run"
+    assert main(["evaluate", "--out", str(run), "--true", str(zero),
+                 "--est", str(est)]) == 2
+    assert capsys.readouterr().err == (
+        f"ttnmf: {zero}: true OD matrix is all zero\n")
+    assert not run.exists()
+
+
 def test_evaluate_shape_mismatch_exits_2(tmp_path, capsys):
     from ttnmf import write_matrix_csv
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -346,28 +385,30 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
-def test_config_file_supplies_settings(tmp_path):
+def test_config_file_supplies_settings(tmp_path, set_q_max):
+    set_q_max(4)
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"routing={data / 'routing.csv'}\n"
         f"traffic={data / 'traffic.csv'}\n"
-        "rank=3\nlags=1\nq_max=4\n")
+        "rank=3\nlags=1\n")
     assert main(["train", "--out", str(run), "--config", str(cfg)]) == 0
     archive = load_model(run / "model.ttnmf")
     assert archive.model.rank == 3
     assert archive.model.lag_set.lags == (1,)
 
 
-def test_flag_overrides_config_file(tmp_path):
+def test_flag_overrides_config_file(tmp_path, set_q_max):
+    set_q_max(4)
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"routing={data / 'routing.csv'}\n"
         f"traffic={data / 'traffic.csv'}\n"
-        "rank=3\nlags=1\nq_max=4\n")
+        "rank=3\nlags=1\n")
     assert main(["train", "--out", str(run), "--config", str(cfg),
                  "--rank", "2"]) == 0
     assert load_model(run / "model.ttnmf").model.rank == 2
@@ -446,14 +487,15 @@ def test_config_beats_profile_and_flag_beats_both(tmp_path):
     assert (args.rank, args.beta_h, args.lags) == (5, 0.0, "1")
 
 
-def test_one_config_file_drives_the_pipeline(tmp_path):
+def test_one_config_file_drives_the_pipeline(tmp_path, set_q_max):
     # a train config may hold the keys of estimate and evaluate too
+    set_q_max(3)
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data, "--split", "40")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"routing={data / 'routing.csv'}\ntraffic={data / 'traffic.csv'}\n"
-        "split=40\nrank=2\nlags=1,2\nq_max=3\n"
+        "split=40\nrank=2\nlags=1,2\n"
         f"model={run / 'model.ttnmf'}\n"
         f"linkflows={data / 'linkflows_test.csv'}\n"
         f"true_path={data / 'traffic_test.csv'}\n"
@@ -464,7 +506,8 @@ def test_one_config_file_drives_the_pipeline(tmp_path):
     assert (run / "stats.csv").exists()
 
 
-def test_profile_sets_lags_with_flag_override(tmp_path):
+def test_profile_sets_lags_with_flag_override(tmp_path, set_q_max):
+    set_q_max(2)
     data, run = tmp_path / "data", tmp_path / "run"
     # geant profile needs T > its max lag of 96
     assert main(["synth", "--out", str(data), "--routers", "4", "--rank", "2",
@@ -473,7 +516,7 @@ def test_profile_sets_lags_with_flag_override(tmp_path):
     assert main(["train", "--out", str(run), "--profile", "geant",
                  "--routing", str(data / "routing.csv"),
                  "--traffic", str(data / "traffic.csv"),
-                 "--rank", "3", "--q-max", "2"]) == 0
+                 "--rank", "3"]) == 0
     archive = load_model(run / "model.ttnmf")
     assert archive.model.lag_set.lags == (1, 4, 8, 32, 34, 36, 96)
     assert archive.model.rank == 3  # flag beats the profile's rank of 20
@@ -594,7 +637,8 @@ def test_flipped_latent_byte_exits_2(tmp_path, capsys):
         assert "payload_sha256" in err
 
 
-def test_malformed_csv_and_config_exit_cleanly(tmp_path, capsys):
+def test_malformed_csv_and_config_exit_cleanly(tmp_path, capsys, set_q_max):
+    set_q_max(1)
     from ttnmf import write_matrix_csv
     model = tmp_path / "model.ttnmf"
     routing = _tiny_archive(model)
@@ -607,7 +651,7 @@ def test_malformed_csv_and_config_exit_cleanly(tmp_path, capsys):
     commands = {
         "train --traffic": lambda bad: [
             "train", "--out", out, "--routing", str(routing_csv),
-            "--traffic", bad, "--rank", "1", "--lags", "1", "--q-max", "1"],
+            "--traffic", bad, "--rank", "1", "--lags", "1"],
         "estimate --linkflows": lambda bad: [
             "estimate", "--out", out, "--model", str(model),
             "--linkflows", bad],
@@ -667,7 +711,8 @@ def test_out_naming_a_file_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "estimate", "evaluate"])
-def test_out_name_too_long_exits_1(tmp_path, capsys, command):
+def test_out_name_too_long_exits_1(tmp_path, capsys, command, set_q_max):
+    set_q_max(5)
     data, run = tmp_path / "data", tmp_path / "run"
     assert _synth(data, "--split", "40") == 0
     assert _train(data, run) == 0
@@ -715,7 +760,9 @@ def test_nonfinite_estimate_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_train_write_leaves_previous_outputs(tmp_path, monkeypatch,
-                                                    capsys):
+                                                    capsys,
+                                                    set_q_max):
+    set_q_max(5)
     import ttnmf.cli
     data, out = tmp_path / "data", tmp_path / "run"
     _synth(data)
@@ -737,7 +784,9 @@ def test_failed_train_write_leaves_previous_outputs(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("split", [None, 40])
-def test_train_provenance_hashes_the_input_matrices(tmp_path, split):
+def test_train_provenance_hashes_the_input_matrices(tmp_path, split,
+                                                    set_q_max):
+    set_q_max(5)
     import hashlib
     data, out = tmp_path / "data", tmp_path / "run"
     _synth(data)
@@ -758,7 +807,9 @@ def _failing_write(path, matrix):
 
 
 def test_failed_estimate_write_leaves_previous_estimate(tmp_path, monkeypatch,
-                                                        capsys):
+                                                        capsys,
+                                                        set_q_max):
+    set_q_max(5)
     import ttnmf.cli
     data, out = tmp_path / "data", tmp_path / "run"
     _synth(data)
@@ -802,10 +853,11 @@ def test_failed_evaluate_write_leaves_previous_outputs(tmp_path, monkeypatch,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_train_mask_never_reads_unobserved_cells(tmp_path):
+def test_train_mask_never_reads_unobserved_cells(tmp_path, set_q_max):
     # the CLI twin of test_train_never_reads_unobserved_cells: -1, which an
     # observed cell may not hold, in every unobserved cell trains the same
     # factors bit for bit as the original traffic
+    set_q_max(5)
     data = tmp_path / "data"
     _synth(data, "--mask-fraction", "0.2")
     x = load_matrix_csv(data / "traffic.csv")
@@ -820,7 +872,7 @@ def test_train_mask_never_reads_unobserved_cells(tmp_path):
                      "--routing", str(data / "routing.csv"),
                      "--traffic", str(traffic),
                      "--mask", str(data / "mask.csv"),
-                     "--rank", "2", "--lags", "1,2", "--q-max", "5"]) == 0
+                     "--rank", "2", "--lags", "1,2"]) == 0
         models.append(load_model(out / "model.ttnmf").model)
     for name in ("spatial", "latent", "ar_weights"):
         assert (getattr(models[0], name).tobytes()
@@ -830,7 +882,7 @@ def test_train_mask_never_reads_unobserved_cells(tmp_path):
 # (command, its input flags, its other settings)
 _BAD_CELL_COMMANDS = [
     ("train", ("--routing", "--traffic", "--mask"),
-     ("--rank", "1", "--lags", "1", "--q-max", "1")),
+     ("--rank", "1", "--lags", "1")),
     ("estimate", ("--model", "--linkflows"), ()),
     ("evaluate", ("--true", "--est"), ()),
 ]
@@ -861,7 +913,9 @@ _BAD_CELL_COMMANDS = [
      "observed traffic must be >= 0; cell (1,2) is -1.0"),
 ])
 def test_bad_cell_exits_2_with_the_type_rule(tmp_path, capsys, flag, content,
-                                             rule):
+                                             rule,
+                                             set_q_max):
+    set_q_max(1)
     files = {"--model": tmp_path / "model.ttnmf"}
     routing = _tiny_archive(files["--model"])
     for name, matrix in (("--routing", routing.entries),
@@ -910,13 +964,14 @@ def test_rank_0_archive_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("factor", ["spatial", "ar_weights"])
-def test_overflowing_window_fit_exits_3(tmp_path, capsys, factor):
+def test_overflowing_window_fit_exits_3(tmp_path, capsys, factor, set_q_max):
     # a validly signed archive with the factor scaled by 1e300: the column
     # norms of A W, or the latent step bound (1 + sum |w|)^2, overflow
     # float64, which ends estimate in one line and no numpy warning
     import dataclasses
 
     from ttnmf import FactorModel, save_model
+    set_q_max(5)
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data, "--split", "40")
     assert _train(data, run, "--split", "40") == 0
@@ -940,7 +995,9 @@ def test_overflowing_window_fit_exits_3(tmp_path, capsys, factor):
         "bound overflow float64\n")
 
 
-def test_link_flows_whose_square_overflows_exit_3(tmp_path, capsys):
+def test_link_flows_whose_square_overflows_exit_3(tmp_path, capsys,
+                                                  set_q_max):
+    set_q_max(5)
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data, "--split", "40")
     assert _train(data, run, "--split", "40") == 0
@@ -966,7 +1023,7 @@ def test_overflowing_traffic_exits_3(tmp_path, capsys, scale):
     write_matrix_csv(big, scale * load_matrix_csv(data / "traffic.csv"))
     argv = ["train", "--out", str(tmp_path / "run"),
             "--routing", str(data / "routing.csv"), "--traffic", str(big),
-            "--rank", "2", "--lags", "1,2", "--q-max", "5"]
+            "--rank", "2", "--lags", "1,2"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails
         assert main(argv) == 3
@@ -983,7 +1040,7 @@ def test_underflowing_traffic_exits_3(tmp_path, capsys, scale):
     write_matrix_csv(small, scale * load_matrix_csv(data / "traffic.csv"))
     argv = ["train", "--out", str(tmp_path / "run"),
             "--routing", str(data / "routing.csv"), "--traffic", str(small),
-            "--rank", "2", "--lags", "1,2", "--q-max", "5"]
+            "--rank", "2", "--lags", "1,2"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails
         assert main(argv) == 3

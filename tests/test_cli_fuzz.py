@@ -15,13 +15,14 @@ import warnings
 import numpy as np
 import pytest
 
+import ttnmf.training as training
 from ttnmf import (FactorModel, load_matrix_csv, load_model, save_model,
                    write_matrix_csv)
 from ttnmf.cli import main
 
 SEED = 20211
 N_CASES = 96
-TRAIN = ["--split", "40", "--rank", "2", "--lags", "1,2", "--q-max", "5"]
+TRAIN = ["--split", "40", "--rank", "2", "--lags", "1,2"]
 # tokens spliced into text inputs
 TOKENS = [b"nan", b"inf", b"-inf", b"1e309", b"-1", b"1e-320", b"1e308",
           b"\x00", b",", b"\n", b"#", b" ", b"=", b"abc", b"\xff\xfe",
@@ -37,18 +38,22 @@ CODES = {"traffic": {0, 1, 2, 3}, "linkflows": {0, 2, 3},
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
+    """The working run's data and run directories; training stops after 5
+    outer iterations here and in every case that uses them."""
     root = tmp_path_factory.mktemp("fuzz")
     data, run = root / "data", root / "run"
-    assert main(["synth", "--out", str(data), "--routers", "4", "--rank", "2",
-                 "--T", "60", "--split", "40", "--lags", "1,2",
-                 "--seed", "7"]) == 0
-    assert main(["train", "--out", str(run),
-                 "--routing", str(data / "routing.csv"),
-                 "--traffic", str(data / "traffic.csv"), *TRAIN]) == 0
-    assert main(["estimate", "--out", str(run),
-                 "--model", str(run / "model.ttnmf"),
-                 "--linkflows", str(data / "linkflows_test.csv")]) == 0
-    return data, run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "Q_MAX", 5)
+        assert main(["synth", "--out", str(data), "--routers", "4",
+                     "--rank", "2", "--T", "60", "--split", "40",
+                     "--lags", "1,2", "--seed", "7"]) == 0
+        assert main(["train", "--out", str(run),
+                     "--routing", str(data / "routing.csv"),
+                     "--traffic", str(data / "traffic.csv"), *TRAIN]) == 0
+        assert main(["estimate", "--out", str(run),
+                     "--model", str(run / "model.ttnmf"),
+                     "--linkflows", str(data / "linkflows_test.csv")]) == 0
+        yield data, run
 
 
 def _mutate_text(data: bytes, rng) -> bytes:
@@ -129,7 +134,7 @@ def _case(base, tmp_path, rng):
     if kind == "config":
         text = (f"routing={data / 'routing.csv'}\n"
                 f"traffic={data / 'traffic.csv'}\n"
-                "split=40\nrank=2\nlags=1,2\nq_max=5\nbeta_h=0.2\n")
+                "split=40\nrank=2\nlags=1,2\nbeta_h=0.2\n")
         bad.write_bytes(_mutate_text(text.encode(), rng))
         return kind, ["train", *out, "--config", str(bad)]
     if kind == "estimate":

@@ -272,14 +272,16 @@ def test_ar_residual_empty_lag_set_is_the_latent_matrix():
     assert not np.shares_memory(got, latent)
 
 
-def test_per_lag_kernels_give_the_same_train_and_estimate(monkeypatch):
+def test_per_lag_kernels_give_the_same_train_and_estimate(monkeypatch,
+                                                          set_q_max):
     import ttnmf.training as training
     from ttnmf.estimation import estimate_od_flows
     from ttnmf.network import compute_link_flows, generate_synthetic
     scen = generate_synthetic(6, 4, 200, LagSet((1, 2, 24)), 0.05, seed=5)
     x = scen.traffic.entries
     links = compute_link_flows(scen.routing, scen.traffic).entries[:, 150:]
-    cfg = training.TrainConfig(rank=4, lag_set=LagSet((1, 2, 24)), q_max=8)
+    set_q_max(8)
+    cfg = training.TrainConfig(rank=4, lag_set=LagSet((1, 2, 24)))
 
     def run():
         model, report = training.train(x[:, :150], scen.routing, cfg)

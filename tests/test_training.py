@@ -24,8 +24,8 @@ Covers:
     unobserved cells,
     non-finite guard, the seed residual's memory, each block update
     called through its module name once per outer iteration
-  - stop rule: converged before q_max on the acceptance scenarios (full and
-    gappy), q_max with a tiny delta, penalized trace oracle, the
+  - stop rule: converged before Q_MAX on the acceptance scenarios (full and
+    gappy), Q_MAX with a tiny delta, penalized trace oracle, the
     Gram-form trace and the penalty-term traces against objective_terms of
     each iterate
 """
@@ -90,24 +90,21 @@ def test_config_validation():
         TrainConfig(rank=2, beta_temporal=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(rank=2, beta_ortho=-0.1)
-    with pytest.raises(ConfigError):
-        TrainConfig(rank=2, q_max=0)
     assert not hasattr(TrainConfig, "validate")
 
 
 @pytest.mark.parametrize("make, name", [
     (lambda: LagSet((1.5, 2.9)), "lags"),
-    (lambda: TrainConfig(rank=2, q_max=2.5), "q_max"),
     (lambda: TrainConfig(rank=2.5), "rank"),
     (lambda: TrainConfig(rank="2"), "rank"),
-], ids=["lags", "q_max", "rank", "rank_text"])
+], ids=["lags", "rank", "rank_text"])
 def test_integer_settings_reject_other_types(make, name):
     # a float is not truncated and no string is parsed when the object is
     # made; numpy integers pass
     with pytest.raises(ConfigError, match=f"{name} must be an integer"):
         make()
     assert LagSet(np.array([2, 1])).lags == (1, 2)
-    assert TrainConfig(rank=np.int64(2), q_max=np.int32(3)).q_max == 3
+    assert TrainConfig(rank=np.int32(3)).rank == 3
 
 
 @pytest.mark.parametrize("make, name", [
@@ -574,7 +571,8 @@ def test_tune_penalties_orthonormal_denominator_vanishes(caplog):
     assert any("disabled" in rec.message for rec in caplog.records)
 
 
-def test_tune_penalties_temporal_cut_off_ignores_the_traffic_unit(caplog):
+def test_tune_penalties_temporal_cut_off_ignores_the_traffic_unit(
+        caplog, set_q_max):
     # the training traffic of `ttnmf synth --routers 4 --rank 2 --T 60
     # --split 40 --lags 1,2 --seed 7` in a unit 1e15 times larger: the AR
     # residual and its reference sum_p ||h_p||^2 scale alike, so the
@@ -583,7 +581,8 @@ def test_tune_penalties_temporal_cut_off_ignores_the_traffic_unit(caplog):
                               planted_lags=LagSet([1, 2]), noise_level=0.05,
                               seed=7)
     traffic = TrafficMatrix(scen.traffic.entries[:, :40] * 1e15)
-    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]), q_max=5)
+    set_q_max(5)
+    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]))
     with caplog.at_level(logging.WARNING, logger="ttnmf.training"):
         model, _ = train(traffic, scen.routing, cfg)
     assert not any("disabled" in rec.message for rec in caplog.records)
@@ -629,11 +628,12 @@ def test_em_mask_step_trivial_masks():
 
 # ------------------------------------------------------------------- train
 
-def test_train_trace_monotone_and_factors_nonneg():
+def test_train_trace_monotone_and_factors_nonneg(set_q_max):
     scen = generate_synthetic(n_routers=5, planted_rank=3, n_timestamps=80,
                               planted_lags=LagSet([1, 2]), noise_level=0.05,
                               seed=17)
-    cfg = TrainConfig(rank=3, lag_set=LagSet([1, 2]), q_max=20)
+    set_q_max(20)
+    cfg = TrainConfig(rank=3, lag_set=LagSet([1, 2]))
     model, report = train(scen.traffic, scen.routing, cfg)
     trace = np.array(report.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12)
@@ -645,28 +645,29 @@ def test_train_trace_monotone_and_factors_nonneg():
                                scen.routing.entries @ model.spatial, atol=1e-12)
 
 
-def test_train_fits_planted_noiseless_data(monkeypatch):
+def test_train_fits_planted_noiseless_data(monkeypatch, set_q_max):
     # fit-capacity check: penalties off, exact rank, noiseless data
     monkeypatch.setattr(training, "Q_BLOCK_MAX", 20)
     scen = generate_synthetic(n_routers=5, planted_rank=3, n_timestamps=200,
                               planted_lags=LagSet([1, 2]), noise_level=0.0,
                               seed=18)
+    set_q_max(150)
     cfg = TrainConfig(rank=3, lag_set=LagSet([1, 2]), beta_temporal=0.0,
-                      beta_ortho=0.0, q_max=150)
+                      beta_ortho=0.0)
     model, report = train(scen.traffic, scen.routing, cfg)
     x = scen.traffic.entries
     rel = np.linalg.norm(x - model.spatial @ model.latent) / np.linalg.norm(x)
     assert rel <= 1e-3
 
 
-def test_train_with_subnormal_lambda_warns_nothing():
+def test_train_with_subnormal_lambda_warns_nothing(set_q_max):
     # beta_h = 1e-320 tunes a subnormal lambda_t, whose AR step bound has a
     # reciprocal beyond float64; that curvature counts as vanishing
     scen = generate_synthetic(n_routers=4, planted_rank=2, n_timestamps=60,
                               planted_lags=LagSet([1, 2]), noise_level=0.05,
                               seed=7)
-    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]), beta_temporal=1e-320,
-                      q_max=5)
+    set_q_max(5)
+    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]), beta_temporal=1e-320)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model, report = train(scen.traffic, scen.routing, cfg)
@@ -674,12 +675,13 @@ def test_train_with_subnormal_lambda_warns_nothing():
     assert np.isfinite(model.ar_weights).all()
 
 
-def test_train_without_penalties_is_plain_nmf():
+def test_train_without_penalties_is_plain_nmf(set_q_max):
     scen = generate_synthetic(n_routers=4, planted_rank=2, n_timestamps=60,
                               planted_lags=LagSet([1]), noise_level=0.1,
                               seed=19)
+    set_q_max(15)
     cfg = TrainConfig(rank=2, lag_set=LagSet([1]), beta_temporal=0.0,
-                      beta_ortho=0.0, q_max=15)
+                      beta_ortho=0.0)
     model, report = train(scen.traffic, scen.routing, cfg)
     assert model.weights.lambda_temporal == model.weights.lambda_ortho == 0.0
     # ar block is skipped entirely when the temporal penalty is off
@@ -688,7 +690,7 @@ def test_train_without_penalties_is_plain_nmf():
     assert report.objective_trace[-1] <= report.objective_trace[0]
 
 
-def test_train_em_mask_trace_is_monotone():
+def test_train_em_mask_trace_is_monotone(set_q_max):
     # a gappy mask trains by EM imputation, the one path for missing data
     scen = generate_synthetic(n_routers=4, planted_rank=2, n_timestamps=60,
                               planted_lags=LagSet([1]), noise_level=0.0,
@@ -696,7 +698,8 @@ def test_train_em_mask_trace_is_monotone():
     rng = np.random.default_rng(0)
     mask = (rng.random(scen.traffic.entries.shape) >= 0.2).astype(float)
     gappy = TrafficMatrix(scen.traffic.entries * mask, mask=mask)
-    cfg = TrainConfig(rank=2, lag_set=LagSet([1]), q_max=10)
+    set_q_max(10)
+    cfg = TrainConfig(rank=2, lag_set=LagSet([1]))
     model, report = train(gappy, scen.routing, cfg)
     trace = np.array(report.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12)
@@ -714,7 +717,7 @@ def test_train_stops_when_penalized_objective_stalls():
     cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)))
     model, report = train(scen.traffic, scen.routing, cfg)
     assert report.stop_reason == "converged"
-    assert report.n_iterations < cfg.q_max
+    assert report.n_iterations < training.Q_MAX
     assert len(report.penalized_trace) == len(report.objective_trace)
     assert _stopped_at_relative_drop(report, training.DELTA)
     f = report.penalized_trace
@@ -765,7 +768,7 @@ def test_train_gram_form_trace_matches_objective_terms(monkeypatch):
         assert report.ortho_trace[q] == terms[2] > 0
 
 
-def test_train_forms_the_seed_residual_once_in_place():
+def test_train_forms_the_seed_residual_once_in_place(set_q_max):
     # at this shape the n x T arrays dominate; X - W0 H0 formed as a product
     # and a difference, once for the penalty scale and once for the trace,
     # peaked at twice the size of X
@@ -774,7 +777,8 @@ def test_train_forms_the_seed_residual_once_in_place():
     x = rng.random((n, 2)) @ rng.random((2, T))
     traffic = TrafficMatrix(x)
     routing = (rng.random((20, n)) < 0.3).astype(float)
-    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]), q_max=2)
+    set_q_max(2)
+    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -785,13 +789,14 @@ def test_train_forms_the_seed_residual_once_in_place():
     assert peak < 1.5 * x.nbytes
 
 
-def test_train_tiny_delta_runs_to_q_max(monkeypatch):
+def test_train_tiny_delta_runs_to_q_max(monkeypatch, set_q_max):
     monkeypatch.setattr(training, "DELTA", 1e-15)
     scen = generate_synthetic(6, 4, 300, LagSet((1, 2)), 0.05, seed=3)
-    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)), q_max=20)
+    set_q_max(20)
+    cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)))
     _, report = train(scen.traffic, scen.routing, cfg)
     assert report.stop_reason == "q_max"
-    assert report.n_iterations == 20
+    assert report.n_iterations == training.Q_MAX == 20
 
 
 def test_train_em_mask_stops_before_q_max():
@@ -803,15 +808,16 @@ def test_train_em_mask_stops_before_q_max():
     cfg = TrainConfig(rank=4, lag_set=LagSet((1, 2)))
     _, report = train(TrafficMatrix(x * mask, mask=mask), scen.routing, cfg)
     assert report.stop_reason == "converged"
-    assert report.n_iterations < cfg.q_max
+    assert report.n_iterations < training.Q_MAX
     assert _stopped_at_relative_drop(report, training.DELTA)
 
 
-def test_train_accepts_plain_arrays():
+def test_train_accepts_plain_arrays(set_q_max):
     rng = np.random.default_rng(21)
     x = rng.random((6, 20))
     routing = (rng.random((4, 6)) < 0.5).astype(float)
-    model, report = train(x, routing, TrainConfig(rank=2, q_max=3))
+    set_q_max(3)
+    model, report = train(x, routing, TrainConfig(rank=2))
     assert model.n_flows == 6
 
 
@@ -827,13 +833,14 @@ def test_train_validates_inputs():
         train(x, np.ones((4, 6)), TrainConfig(rank=2, lag_set=LagSet([25])))
 
 
-def test_train_never_reads_unobserved_cells():
+def test_train_never_reads_unobserved_cells(set_q_max):
     # the unobserved cells at 0 and at 1e6 give the same factors and traces
     rng = np.random.default_rng(24)
     x = rng.random((6, 20))
     routing = (rng.random((4, 6)) < 0.5).astype(float)
     mask = (rng.random(x.shape) >= 0.2).astype(float)
-    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]), q_max=8)
+    set_q_max(8)
+    cfg = TrainConfig(rank=2, lag_set=LagSet([1, 2]))
     runs = [train(TrafficMatrix(np.where(mask == 1.0, x, fill), mask=mask),
                   routing, cfg) for fill in (0.0, 1e6)]
     (m0, r0), (m1, r1) = runs
@@ -861,7 +868,7 @@ def test_train_rejects_non_finite_cells():
         bad = x.copy()
         bad[2, 5] = value
         with pytest.raises(ValidationError, match=r"cell \(3,6\)"):
-            train(bad, routing, TrainConfig(rank=2, q_max=3))
+            train(bad, routing, TrainConfig(rank=2))
         with pytest.raises(ValidationError, match=r"cell \(3,6\)"):
             TrafficMatrix(bad, mask=mask)
 
@@ -896,7 +903,7 @@ def test_train_raises_numerical_failure_on_nonfinite_block(monkeypatch):
 
     monkeypatch.setattr(training, "_update_spatial", poisoned)
     with pytest.raises(NumericalFailure) as excinfo:
-        train(x, routing, TrainConfig(rank=2, q_max=4))
+        train(x, routing, TrainConfig(rank=2))
     snap = excinfo.value.snapshot
     assert snap["iteration"] == 1
     assert np.isfinite(snap["spatial"]).all()
