@@ -7,8 +7,8 @@ from .estimation import (estimate_latent, estimate_od_flow, estimate_od_flows,
 from .factors import (FactorModel, LagSet, RegularizationWeights,
                       TemporalGraph, build_temporal_graph, objective_value,
                       ortho_penalty_value, temporal_penalty_value)
-from .fileio import (ModelArchive, load_matrix_csv, load_model,
-                     parse_config_file, save_model, write_matrix_csv)
+from .fileio import (ModelArchive, load_matrix_csv, load_model, save_model,
+                     write_matrix_csv)
 from .initialization import init_factors_svd, init_lag_weights
 from .metrics import ErrorVector, cdf_points, sre, summary_stats, tre
 from .network import (LinkFlowMatrix, RoutingMatrix, SyntheticScenario,
@@ -26,8 +26,8 @@ __all__ = [
     "FactorModel", "LagSet", "RegularizationWeights", "TemporalGraph",
     "build_temporal_graph", "objective_value", "ortho_penalty_value",
     "temporal_penalty_value",
-    "ModelArchive", "load_matrix_csv", "load_model", "parse_config_file",
-    "save_model", "write_matrix_csv",
+    "ModelArchive", "load_matrix_csv", "load_model", "save_model",
+    "write_matrix_csv",
     "init_factors_svd", "init_lag_weights",
     "ErrorVector", "cdf_points", "sre", "summary_stats", "tre",
     "LinkFlowMatrix", "RoutingMatrix", "SyntheticScenario", "TrafficMatrix",

@@ -23,7 +23,7 @@ from .errors import (ConfigError, NumericalFailure, ParseError, ShapeError,
 from .estimation import estimate_od_flows
 from .factors import LagSet
 from .fileio import (ModelArchive, format_float, load_matrix_csv, load_model,
-                     parse_config_file, save_model, sha256_hex, write_matrix_csv)
+                     save_model, sha256_hex, write_matrix_csv)
 from .metrics import cdf_points, sre, summary_stats, tre
 from .network import (LinkFlowMatrix, RoutingMatrix, TrafficMatrix,
                       compute_link_flows, generate_synthetic, split_train_test)
@@ -59,8 +59,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     """The ttnmf parser and its subcommand parsers by name.
 
     Each setting is declared once, as a flag with its type and built-in
-    default; the training defaults are those of TrainConfig.  A config key
-    or profile entry names the flag's dest.
+    default; the training defaults are those of TrainConfig.  A profile
+    entry names the flag's dest.
     """
     parser = _Parser(prog="ttnmf",
                      description="OD traffic estimation from link loads",
@@ -72,7 +72,6 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     def command(name, summary):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
         return p
 
@@ -111,38 +110,17 @@ def _build_parser() -> tuple[_Parser, dict]:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Flag > config file > profile > built-in default.
+    """Flag > profile > built-in default.
 
-    A first parse finds --config and --profile; the config keys and the
-    profile's entries then become the subcommand's defaults, and a second
-    parse casts each config value with its flag's type.
+    A first parse finds --profile; the profile's entries then become train's
+    defaults, and a second parse lets each flag override them.
     """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _load_config(args.config, commands) if args.config else {}
-    profile = {}
-    if hasattr(args, "profile"):  # a subcommand without --profile has none
-        name = args.profile or cfg.get("profile") or "none"
-        if name not in PROFILES:
-            raise ConfigError(f"unknown profile {name!r}")
-        profile = PROFILES[name]
-    commands[args.command].set_defaults(**{**profile, **cfg})
-    try:
-        return parser.parse_args(argv)
-    except UsageError as exc:
-        # the flags parsed once already, so a config value is at fault
-        raise ConfigError(f"config file {args.config}: {exc}") from None
-
-
-def _load_config(path, commands) -> dict:
-    """The config file's keys, each a setting of some subcommand: one file
-    may hold the keys of several."""
-    cfg = parse_config_file(_require_file(path, "config"))
-    keys = {a.dest for p in commands.values() for a in p._actions}
-    unknown = set(cfg) - (keys - {"help", "config", "out"})
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
+    if getattr(args, "profile", None):
+        commands["train"].set_defaults(**PROFILES[args.profile])
+        args = parser.parse_args(argv)
+    return args
 
 
 def _require_file(path, what) -> Path:
@@ -164,7 +142,12 @@ def _read(build, *inputs):
     try:
         return build(*map(load_matrix_csv, paths))
     except (ShapeError, ValidationError) as exc:
-        raise type(exc)(f"{', '.join(map(str, paths))}: {exc}") from None
+        raise _naming(exc, paths) from None
+
+
+def _naming(exc, paths):
+    """exc, of its own type, with the names of the files at fault."""
+    return type(exc)(f"{', '.join(map(str, paths))}: {exc}")
 
 
 def _outdir(args) -> Path:
@@ -201,6 +184,9 @@ def _cmd_synth(args) -> int:
     frac = args.mask_fraction
     if not 0 <= frac < 1:
         raise ConfigError(f"mask fraction must lie in [0, 1), got {frac}")
+    split, T = args.split, args.n_timestamps
+    if split is not None and not 0 < split < T:
+        raise ConfigError(f"split must lie in (0, {T}), got {split}")
     scenario = generate_synthetic(
         n_routers=args.routers, planted_rank=args.rank,
         n_timestamps=args.n_timestamps, planted_lags=lag_set,
@@ -213,8 +199,8 @@ def _cmd_synth(args) -> int:
         rng = np.random.default_rng([args.seed, 1])
         outputs["mask.csv"] = (
             rng.random(scenario.traffic.entries.shape) >= frac) * 1.0
-    if args.split is not None:
-        train_part, test_part = split_train_test(scenario.traffic, args.split)
+    if split is not None:
+        train_part, test_part = split_train_test(scenario.traffic, split)
         outputs["traffic_train.csv"] = train_part.entries
         outputs["traffic_test.csv"] = test_part.entries
         outputs["linkflows_test.csv"] = compute_link_flows(
@@ -248,7 +234,10 @@ def _cmd_train(args) -> int:
     config = TrainConfig(
         rank=args.rank, lag_set=LagSet.from_text(args.lags),
         beta_temporal=args.beta_h, beta_ortho=args.beta_a)
-    model, report = train(traffic, routing, config)
+    try:
+        model, report = train(traffic, routing, config)
+    except ValidationError as exc:  # the traffic data is at fault
+        raise _naming(exc, [path for path, _ in inputs]) from None
 
     out = _outdir(args)
     config_text = "\n".join(

@@ -1,4 +1,4 @@
-"""CSV matrix files, flat config files and the binary model archive."""
+"""CSV matrix files and the binary model archive."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ShapeError, ValidationError
+from .errors import ParseError, ShapeError, ValidationError
 from .factors import FactorModel, LagSet, RegularizationWeights
 from .network import RoutingMatrix
 
@@ -341,26 +341,6 @@ def write_matrix_csv(path, matrix) -> None:
                                      c == 0)[skip:])
                 skip = 0
         fh.write(b"\n")
-
-
-def parse_config_file(path) -> dict:
-    """Flat key=value file; '#' comments and blank lines ignored."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = list(fh)
-        except UnicodeDecodeError:
-            raise ConfigError(f"{path}: not UTF-8 text") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(
-                f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
 
 
 def sha256_hex(data) -> str:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (ConfigError, NumericalFailure, ShapeError, UsageError,
-                     integer, real)
+                     ValidationError, integer, real)
 from .factors import (FactorModel, LagSet, RegularizationWeights,
                       ar_normal_equations, build_temporal_graph, data_fit,
                       ortho_penalty_value, penalty_terms, routing_array,
@@ -392,7 +392,8 @@ def train(traffic, routing, config: TrainConfig):
     of mask o X, every outer iteration fits X with those cells filled from
     the current W H (em_mask_step), EM_WARMUP_ITERS penalty-free ones with
     zero AR weights before the penalties are tuned, so the values in
-    unobserved cells never matter.
+    unobserved cells never matter.  Traffic with no nonzero observed cell
+    has nothing to fit and raises ValidationError.
     """
     if isinstance(traffic, np.ndarray):
         traffic = TrafficMatrix(traffic)
@@ -408,8 +409,11 @@ def train(traffic, routing, config: TrainConfig):
             f"max lag {lag_set.max_lag} must be < training length {T}")
 
     gappy = mask is not None and not mask.all()
+    observed = mask * x if gappy else x
+    if not observed.any():
+        raise ValidationError("traffic has no nonzero observed cell")
     t0 = time.perf_counter()
-    w, h = init_factors_svd(mask * x if gappy else x, config.rank)
+    w, h = init_factors_svd(observed, config.rank)
     # a non-finite seed raises ValidationError
     model = FactorModel.from_factors(
         w, h, np.zeros((config.rank, len(lag_set))), lag_set, a)

@@ -73,6 +73,16 @@ def test_synth_bad_setting_writes_nothing(tmp_path, capsys, extra):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("split", ["0", "60"])
+def test_synth_split_names_its_flag(tmp_path, capsys, monkeypatch, split):
+    # checked with the other settings, before any data is generated
+    monkeypatch.setattr(cli, "generate_synthetic", None)
+    assert _synth(tmp_path / "d", "--split", split) == 1
+    assert capsys.readouterr().err == (
+        f"ttnmf: split must lie in (0, 60), got {split}\n")
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_synth_nonfinite_noise_exits_1(tmp_path, capsys, value):
     # nan would write noiseless data and inf a non-finite traffic.csv
@@ -149,41 +159,55 @@ def test_gappy_mask_trains_without_a_flag(tmp_path, capsys, set_q_max):
     errs = [float(row.split(",")[1]) for row in rows]
     assert len(errs) >= 3
     assert all(b <= a for a, b in zip(errs, errs[1:]))
-    # there is no missing-mode setting, as a flag or as a config key
-    cfg = tmp_path / "gappy.cfg"
-    cfg.write_text("missing_mode=em_mask\n")
+    # there is no missing-mode setting
     capsys.readouterr()
-    for extra, message in ((["--missing-mode", "em_mask"], "unrecognized"),
-                           (["--config", str(cfg)], "unknown config keys")):
-        assert _train(data, tmp_path / "other", *mask, *extra) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and message in err
-        assert "missing_mode" in err or "missing-mode" in err
+    assert _train(data, tmp_path / "other", *mask,
+                  "--missing-mode", "em_mask") == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "unrecognized" in err and "--missing-mode" in err
     assert not (tmp_path / "other").exists()
 
 
-def _removed_setting(tmp_path, capsys, setting, run):
-    """run(extra arguments) with setting, a "--flag value" or a "key=value"
-    line of a config file, must exit 1 with one stderr line naming the flag
-    or key."""
-    if setting.startswith("--"):
-        extra = setting.split()
+@pytest.mark.parametrize("case", ["unobserved", "zero", "zero window"])
+def test_train_without_nonzero_observed_cell_exits_2(tmp_path, capsys, case):
+    data, run = tmp_path / "data", tmp_path / "run"
+    _synth(data)
+    files, extra = [data / "traffic.csv"], []
+    if case == "unobserved":
+        files.append(data / "mask.csv")
+        write_matrix_csv(files[1], np.zeros((12, 60)))
+        extra = ["--mask", str(files[1])]
     else:
-        cfg = tmp_path / "removed.cfg"
-        cfg.write_text(setting + "\n")
-        extra = ["--config", str(cfg)]
+        traffic = load_matrix_csv(files[0])
+        traffic[:, :40 if case == "zero window" else None] = 0.0
+        write_matrix_csv(files[0], traffic)
+        if case == "zero window":  # the window --split keeps is all zero
+            extra = ["--split", "40"]
     capsys.readouterr()
-    assert run(extra) == 1
+    assert _train(data, run, *extra) == 2
+    assert capsys.readouterr().err == (
+        f"ttnmf: {', '.join(map(str, files))}: "
+        "traffic has no nonzero observed cell\n")
+    assert not (run / "model.ttnmf").exists()
+    assert not (run / "trace.csv").exists()
+
+
+def _removed_setting(capsys, setting, run):
+    """run(extra arguments) with setting, a "--flag value", must exit 1 with
+    one stderr line naming the flag."""
+    capsys.readouterr()
+    assert run(setting.split()) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert setting.split()[0].split("=")[0] in err
+    assert setting.split()[0] in err
 
 
 @pytest.mark.parametrize("setting", [
-    "--r-max-em 5", "--delta-em nan", "r_max_em=5", "delta_em=nan"])
+    "--r-max-em 5", "--delta-em nan", "--q-max-gd 1", "--delta-gd 1"])
 def test_removed_em_setting_exits_1(tmp_path, capsys, setting, set_q_max):
-    # EM's step cap and stop are constants; their old flags and config keys
-    # are unknown now
+    # EM's step cap and stop are constants and the latent fit has no knobs;
+    # their old flags are unknown now
     set_q_max(5)
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data, "--split", "40")
@@ -191,19 +215,17 @@ def test_removed_em_setting_exits_1(tmp_path, capsys, setting, set_q_max):
     estimate = ["estimate", "--out", str(run),
                 "--model", str(run / "model.ttnmf"),
                 "--linkflows", str(data / "linkflows_test.csv")]
-    _removed_setting(tmp_path, capsys, setting,
-                     lambda extra: main(estimate + extra))
+    _removed_setting(capsys, setting, lambda extra: main(estimate + extra))
     assert not (run / "estimated.csv").exists()
 
 
-@pytest.mark.parametrize("setting", ["--q-max 5", "q_max=5"])
+@pytest.mark.parametrize("setting", ["--q-max 5"])
 def test_removed_train_setting_exits_1(tmp_path, capsys, setting):
     # training's outer-loop cap is the constant training.Q_MAX; its old flag
-    # and config key are unknown now
+    # is unknown now
     data, run = tmp_path / "data", tmp_path / "run"
     _synth(data)
-    _removed_setting(tmp_path, capsys, setting,
-                     lambda extra: _train(data, run, *extra))
+    _removed_setting(capsys, setting, lambda extra: _train(data, run, *extra))
     assert not (run / "model.ttnmf").exists()
 
 
@@ -385,125 +407,28 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
-def test_config_file_supplies_settings(tmp_path, set_q_max):
-    set_q_max(4)
-    data, run = tmp_path / "data", tmp_path / "run"
-    _synth(data)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"routing={data / 'routing.csv'}\n"
-        f"traffic={data / 'traffic.csv'}\n"
-        "rank=3\nlags=1\n")
-    assert main(["train", "--out", str(run), "--config", str(cfg)]) == 0
-    archive = load_model(run / "model.ttnmf")
-    assert archive.model.rank == 3
-    assert archive.model.lag_set.lags == (1,)
-
-
-def test_flag_overrides_config_file(tmp_path, set_q_max):
-    set_q_max(4)
-    data, run = tmp_path / "data", tmp_path / "run"
-    _synth(data)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"routing={data / 'routing.csv'}\n"
-        f"traffic={data / 'traffic.csv'}\n"
-        "rank=3\nlags=1\n")
-    assert main(["train", "--out", str(run), "--config", str(cfg),
-                 "--rank", "2"]) == 0
-    assert load_model(run / "model.ttnmf").model.rank == 2
-
-
-def test_unknown_config_key_exits_1(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("rnak=3\n")
-    assert main(["synth", "--out", str(tmp_path / "d"),
-                 "--config", str(cfg)]) == 1
-    assert "rnak" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key", ["q_max_gd", "delta_gd"])
-def test_removed_estimator_knob_exits_1(tmp_path, capsys, key):
-    # the latent fit has no knobs; its old settings are unknown now
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key}=1\n")
-    assert main(["estimate", "--out", str(tmp_path / "r"),
-                 "--config", str(cfg)]) == 1
-    assert key in capsys.readouterr().err
-    assert main(["estimate", "--out", str(tmp_path / "r"),
-                 "--" + key.replace("_", "-"), "1"]) == 1
-
-
-def test_bad_config_value_exits_1(tmp_path, capsys):
-    # the config value is cast by its flag's type; the message names both
-    # the file and the flag
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("rank=four\n")
-    assert main(["synth", "--out", str(tmp_path / "d"),
-                 "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == (
-        f"ttnmf: config file {cfg}: argument --rank: invalid int value: "
-        "'four'\n")
-    assert not (tmp_path / "d").exists()
-
-
-def _settings():
-    """(subcommand, flag, dest, sample value) of every setting that a
-    config key can give, read from the parser itself."""
-    samples = {int: "3", float: "0.25", None: "some/file.csv"}
-    _, commands = cli._build_parser()
-    return [(name, action.option_strings[0], action.dest,
-             action.choices[0] if action.choices else samples[action.type])
-            for name, parser in commands.items()
-            for action in parser._actions
-            if action.dest not in ("help", "config", "out")]
-
-
-@pytest.mark.parametrize("command,flag,key,value", _settings(), ids=str)
-def test_config_key_parses_as_its_flag(tmp_path, command, flag, key, value):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key}={value}\n")
-    out = [command, "--out", str(tmp_path / "o")]
-    by_flag = vars(cli._parse_args(out + [flag, value]))
-    by_config = vars(cli._parse_args(out + ["--config", str(cfg)]))
-    assert by_flag.pop("config") is None
-    assert by_config.pop("config") == str(cfg)
-    assert by_config == by_flag
-    assert ({k: type(v) for k, v in by_config.items()}
-            == {k: type(v) for k, v in by_flag.items()})
-
-
-def test_config_beats_profile_and_flag_beats_both(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("profile=geant\nrank=5\nbeta_h=0.3\n")
-    train = ["train", "--out", str(tmp_path / "o"), "--config", str(cfg)]
-    args = cli._parse_args(train)
+def test_flag_beats_profile_and_profile_beats_default(tmp_path):
+    train = ["train", "--out", str(tmp_path / "o")]
+    args = cli._parse_args(train + ["--profile", "geant", "--rank", "5",
+                                    "--beta-h", "0.3"])
     assert (args.rank, args.beta_h, args.beta_a) == (5, 0.3, 0.1)
     assert args.lags == cli.PROFILES["geant"]["lags"]
-    args = cli._parse_args(train + ["--profile", "internet2", "--rank", "3"])
-    assert (args.rank, args.beta_h, args.beta_a) == (3, 0.3, 0.2)
-    assert args.lags == cli.PROFILES["internet2"]["lags"]
-    args = cli._parse_args(train + ["--lags", "1", "--beta-h", "0"])
-    assert (args.rank, args.beta_h, args.lags) == (5, 0.0, "1")
+    args = cli._parse_args(train)
+    assert (args.rank, args.lags, args.beta_h, args.beta_a) == (4, "", 0.2, 0.2)
+    args = cli._parse_args(train + ["--profile", "none"])
+    assert (args.rank, args.lags, args.beta_h, args.beta_a) == (4, "", 0.2, 0.2)
 
 
-def test_one_config_file_drives_the_pipeline(tmp_path, set_q_max):
-    # a train config may hold the keys of estimate and evaluate too
-    set_q_max(3)
-    data, run = tmp_path / "data", tmp_path / "run"
-    _synth(data, "--split", "40")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"routing={data / 'routing.csv'}\ntraffic={data / 'traffic.csv'}\n"
-        "split=40\nrank=2\nlags=1,2\n"
-        f"model={run / 'model.ttnmf'}\n"
-        f"linkflows={data / 'linkflows_test.csv'}\n"
-        f"true_path={data / 'traffic_test.csv'}\n"
-        f"est_path={run / 'estimated.csv'}\n")
-    for command in ("train", "estimate", "evaluate"):
-        assert main([command, "--out", str(run), "--config", str(cfg)]) == 0
-    assert load_model(run / "model.ttnmf").model.rank == 2
-    assert (run / "stats.csv").exists()
+@pytest.mark.parametrize("command", ["synth", "train", "estimate", "evaluate"])
+def test_config_flag_exits_1(tmp_path, capsys, command):
+    # settings come from flags and profiles only; there is no config file
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("rank=3\n")
+    out = tmp_path / "o"
+    assert main([command, "--out", str(out), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"ttnmf: unrecognized arguments: --config {cfg}\n"
+    assert not out.exists()
 
 
 def test_profile_sets_lags_with_flag_override(tmp_path, set_q_max):
@@ -526,12 +451,13 @@ def test_profile_sets_lags_with_flag_override(tmp_path, set_q_max):
 def test_unknown_profile_exits_1(tmp_path, capsys):
     data = tmp_path / "data"
     _synth(data)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("profile=abilene\n")
-    assert main(["train", "--out", str(tmp_path / "r"), "--config", str(cfg),
+    assert main(["train", "--out", str(tmp_path / "r"), "--profile", "abilene",
                  "--routing", str(data / "routing.csv"),
                  "--traffic", str(data / "traffic.csv")]) == 1
-    assert "profile" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "--profile" in err and "'abilene'" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_usage_error_exits_1(capsys):
@@ -637,7 +563,7 @@ def test_flipped_latent_byte_exits_2(tmp_path, capsys):
         assert "payload_sha256" in err
 
 
-def test_malformed_csv_and_config_exit_cleanly(tmp_path, capsys, set_q_max):
+def test_malformed_csv_exits_cleanly(tmp_path, capsys, set_q_max):
     set_q_max(1)
     from ttnmf import write_matrix_csv
     model = tmp_path / "model.ttnmf"
@@ -684,15 +610,6 @@ def test_malformed_csv_and_config_exit_cleanly(tmp_path, capsys, set_q_max):
                 command, name, err)
             assert message in err and str(path) in err, (command, name, err)
             assert "Traceback" not in err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(b"rank=4\nlags=\xff\n")
-    for path, message in ((cfg, "not UTF-8"), (tmp_path, "is not a file")):
-        got = main(commands["evaluate --true"](str(traffic))
-                   + ["--config", str(path)])
-        err = capsys.readouterr().err
-        assert got == 1, err
-        assert err.startswith("ttnmf: ") and err.count("\n") == 1, err
-        assert message in err and str(path) in err, err
 
 
 def test_out_naming_a_file_exits_1(tmp_path, capsys):

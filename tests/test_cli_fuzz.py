@@ -1,7 +1,8 @@
-"""Seeded fuzz test of the CLI on mutated CSV, config and archive inputs.
+"""Seeded fuzz test of the CLI on mutated CSV, setting and archive inputs.
 
 Each case mutates one input of a working synth -> train -> estimate ->
-evaluate run and runs the subcommand that reads it.  The run must end as
+evaluate run, a file or one value of train's flags, and runs the
+subcommand that reads it.  The run must end as
 the README's exit-code table says: 0 with no warning or traceback, or the
 code of the input's kind with exactly one `ttnmf:` line on stderr.  Case i
 draws its mutation from default_rng((SEED, i)), so a failing case reruns
@@ -9,6 +10,7 @@ alone by its id.
 """
 
 import dataclasses
+import os
 import re
 import warnings
 
@@ -33,7 +35,7 @@ SCALES = [10.0 ** e for e in (-300, -200, -150, -20, 20, 150, 200, 300)]
 # checks its settings (split, rank, lags) against the traffic's shape, so
 # a cut traffic file may also exit 1
 CODES = {"traffic": {0, 1, 2, 3}, "linkflows": {0, 2, 3},
-         "estimate": {0, 2, 3}, "config": {0, 1}, "archive": {0, 2, 3}}
+         "estimate": {0, 2, 3}, "settings": {0, 1}, "archive": {0, 2, 3}}
 
 
 @pytest.fixture(scope="module")
@@ -131,12 +133,13 @@ def _case(base, tmp_path, rng):
         _mutate_csv(data / "traffic.csv", bad, rng)
         return kind, ["train", *out, "--routing", str(data / "routing.csv"),
                       "--traffic", str(bad), *TRAIN]
-    if kind == "config":
-        text = (f"routing={data / 'routing.csv'}\n"
-                f"traffic={data / 'traffic.csv'}\n"
-                "split=40\nrank=2\nlags=1,2\nbeta_h=0.2\n")
-        bad.write_bytes(_mutate_text(text.encode(), rng))
-        return kind, ["train", *out, "--config", str(bad)]
+    if kind == "settings":
+        # one value of --split, --rank or --lags, decoded as argv is
+        settings = list(TRAIN)
+        i = 2 * int(rng.integers(len(settings) // 2)) + 1
+        settings[i] = os.fsdecode(_mutate_text(os.fsencode(settings[i]), rng))
+        return kind, ["train", *out, "--routing", str(data / "routing.csv"),
+                      "--traffic", str(data / "traffic.csv"), *settings]
     if kind == "estimate":
         _mutate_csv(run / "estimated.csv", bad, rng)
         return kind, ["evaluate", *out, "--true",

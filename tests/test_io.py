@@ -1,4 +1,4 @@
-"""CSV parsing, config parsing, model archive round trip."""
+"""CSV parsing and writing, model archive round trip."""
 
 import hashlib
 import math
@@ -11,9 +11,8 @@ import pytest
 
 from ttnmf import (FactorModel, LagSet, LinkFlowMatrix, ModelArchive,
                    RegularizationWeights, RoutingMatrix, TrafficMatrix,
-                   load_matrix_csv, load_model, parse_config_file, save_model,
-                   write_matrix_csv)
-from ttnmf.errors import ConfigError, ParseError, ValidationError
+                   load_matrix_csv, load_model, save_model, write_matrix_csv)
+from ttnmf.errors import ParseError, ValidationError
 from ttnmf.fileio import format_float
 
 
@@ -105,20 +104,6 @@ def test_csv_deterministic_bytes(tmp_path):
 def test_format_float_17g():
     assert format_float(0.1) == "0.10000000000000001"
     assert float(format_float(np.pi)) == np.pi
-
-
-def test_parse_config_file(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text("# a comment\nrank = 4\nlags=1,2\n\nbeta_h = 0.2\n")
-    cfg = parse_config_file(p)
-    assert cfg == {"rank": "4", "lags": "1,2", "beta_h": "0.2"}
-
-
-def test_parse_config_file_malformed(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text("rank 4\n")
-    with pytest.raises(ConfigError, match="key=value"):
-        parse_config_file(p)
 
 
 def _small_archive():
@@ -366,13 +351,6 @@ def test_load_non_utf8_is_parse_error(tmp_path):
     p.write_bytes(b"1,2\n3,\xff\n")
     with pytest.raises(ParseError, match="not UTF-8"):
         load_matrix_csv(p)
-
-
-def test_parse_config_file_non_utf8(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_bytes(b"rank=4\nlags=\xff\n")
-    with pytest.raises(ConfigError, match="not UTF-8"):
-        parse_config_file(p)
 
 
 def test_write_matches_per_cell_format(tmp_path):

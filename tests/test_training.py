@@ -706,6 +706,24 @@ def test_train_em_mask_trace_is_monotone(set_q_max):
     assert np.isfinite(model.latent).all()
 
 
+@pytest.mark.parametrize("case", ["zero", "unobserved", "only hidden"])
+def test_train_without_nonzero_observed_cell_raises(monkeypatch, case):
+    # nothing to fit: the error comes before the SVD seed, not an all-zero
+    # model after Q_MAX empty outer iterations
+    scen = generate_synthetic(n_routers=4, planted_rank=2, n_timestamps=30,
+                              planted_lags=LagSet([1]), noise_level=0.0,
+                              seed=20)
+    x = scen.traffic.entries
+    mask = (np.random.default_rng(0).random(x.shape) >= 0.5).astype(float)
+    traffic = {"zero": TrafficMatrix(0.0 * x),
+               "unobserved": TrafficMatrix(x, mask=0.0 * mask),
+               "only hidden": TrafficMatrix((1.0 - mask) * x, mask=mask)}[case]
+    monkeypatch.setattr(training, "init_factors_svd", None)
+    with pytest.raises(ValidationError,
+                       match="^traffic has no nonzero observed cell$"):
+        train(traffic, scen.routing, TrainConfig(rank=2, lag_set=LagSet([1])))
+
+
 def _stopped_at_relative_drop(report, delta):
     f = report.penalized_trace
     return 0.0 <= f[-2] - f[-1] < delta * f[-2]
