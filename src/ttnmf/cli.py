@@ -171,12 +171,11 @@ def _replaced_on_success(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-@contextlib.contextmanager
-def _text_replaced_on_success(path: Path):
-    """A text file handle for _replaced_on_success(path), with \\n endings."""
-    with _replaced_on_success(path) as tmp, \
-            open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        yield fh
+def _write_csv(path: Path, matrix, header=None) -> None:
+    """write_matrix_csv(path, matrix, header) through _replaced_on_success:
+    a failed or interrupted write leaves no partial output behind."""
+    with _replaced_on_success(path) as tmp:
+        write_matrix_csv(tmp, matrix, header)
 
 
 def _cmd_synth(args) -> int:
@@ -208,8 +207,7 @@ def _cmd_synth(args) -> int:
     # every setting is checked before the first file is written
     out = _outdir(args)
     for name, matrix in outputs.items():
-        with _replaced_on_success(out / name) as tmp:
-            write_matrix_csv(tmp, matrix)
+        _write_csv(out / name, matrix)
     logger.info("synth: wrote scenario with %d links, %d OD pairs, %d slots",
                 scenario.routing.n_links, scenario.routing.n_pairs,
                 scenario.traffic.n_timestamps)
@@ -252,18 +250,17 @@ def _cmd_train(args) -> int:
     # a failed or interrupted write leaves no partial output behind
     with _replaced_on_success(out / "model.ttnmf") as tmp:
         save_model(tmp, ModelArchive(model, provenance))
-    with _text_replaced_on_success(out / "trace.csv") as fh:
-        fh.write("q,e_q,f_q,temporal,ortho,spatial_iters,latent_iters,"
-                 "ar_iters,wall_ms\n")
-        # the seed row has no block iterations
-        iters = [(0, 0, 0), *zip(*(report.block_iteration_counts[b]
-                                   for b in BLOCKS))]
-        for q, (*terms, its, ms) in enumerate(zip(
-                report.objective_trace, report.penalized_trace,
-                report.temporal_trace, report.ortho_trace, iters,
-                report.iteration_wall_ms)):
-            fh.write(",".join([str(q), *map(format_float, terms),
-                               *map(str, its), format_float(ms)]) + "\n")
+    # the seed row has no block iterations; every count and q is exact in
+    # float64, and format_float writes it as an integer
+    iters = np.zeros((report.n_iterations + 1, len(BLOCKS)))
+    iters[1:] = np.transpose([report.block_iteration_counts[b]
+                              for b in BLOCKS])
+    _write_csv(out / "trace.csv", np.column_stack((
+        np.arange(len(iters)), report.objective_trace,
+        report.penalized_trace, report.temporal_trace, report.ortho_trace,
+        iters, report.iteration_wall_ms)),
+        "q,e_q,f_q,temporal,ortho,spatial_iters,latent_iters,ar_iters,"
+        "wall_ms")
     logger.info("train: %d outer iterations (%s), final fit %.6g, "
                 "wall %.2fs", report.n_iterations, report.stop_reason,
                 report.objective_trace[-1], report.wall_time)
@@ -279,9 +276,7 @@ def _cmd_estimate(args) -> int:
             f"{args.linkflows}: link-flow matrix has {links.n_links} rows "
             f"but the model was trained with {n_links} links")
     estimates = estimate_od_flows(links, model)
-    out = _outdir(args)
-    with _replaced_on_success(out / "estimated.csv") as tmp:
-        write_matrix_csv(tmp, estimates)
+    _write_csv(_outdir(args) / "estimated.csv", estimates)
     logger.info("estimate: %d columns estimated", estimates.shape[1])
     return 0
 
@@ -302,9 +297,9 @@ def _cmd_evaluate(args) -> int:
     col_stats = summary_stats(col_err)
     out = _outdir(args)
     for name, err in (("sre.csv", row_err), ("tre.csv", col_err)):
-        with _replaced_on_success(out / name) as tmp:
-            write_matrix_csv(tmp, err.values.reshape(-1, 1))
-    with _text_replaced_on_success(out / "stats.csv") as fh:
+        _write_csv(out / name, err.values.reshape(-1, 1))
+    with _replaced_on_success(out / "stats.csv") as tmp, \
+            open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("stat,sre,tre\n")
         for key in ("min", "max", "mean", "median", "std"):
             fh.write(f"{key},{format_float(row_stats[key])},"
@@ -312,10 +307,7 @@ def _cmd_evaluate(args) -> int:
         fh.write(f"undefined,{len(row_err.undefined_indices)},"
                  f"{len(col_err.undefined_indices)}\n")
     for name, err in (("cdf_sre.csv", row_err), ("cdf_tre.csv", col_err)):
-        with _text_replaced_on_success(out / name) as fh:
-            fh.write("value,fraction\n")
-            for value, fraction in cdf_points(err):
-                fh.write(f"{format_float(value)},{format_float(fraction)}\n")
+        _write_csv(out / name, cdf_points(err), "value,fraction")
     logger.info("evaluate: mean SRE %.4f, mean TRE %.4f",
                 row_stats["mean"], col_stats["mean"])
     return 0

@@ -316,19 +316,23 @@ class _BlockFormatter:
         return chars.reshape(-1)[keep.reshape(-1)]
 
 
-def write_matrix_csv(path, matrix) -> None:
-    """Row-major CSV, 17 significant digits, no header, \\n endings.
+def write_matrix_csv(path, matrix, header=None) -> None:
+    """Row-major CSV, 17 significant digits, \\n endings; header, if given,
+    is the first line, also when the matrix has no rows.
 
-    Every cell is written as format_float writes it.  Cells of magnitude
-    in [1e-4, 1e17) are formatted in blocks of _BLOCK cells by numpy
-    integer arithmetic; the others (0, subnormals, 1e17 and above, inf and
-    nan) by format_float itself, one at a time.
+    Every cell is written as format_float writes it, so an integer-valued
+    cell below 1e17 reads as an integer.  Cells of magnitude in [1e-4,
+    1e17) are formatted in blocks of _BLOCK cells by numpy integer
+    arithmetic; the others (0, subnormals, 1e17 and above, inf and nan) by
+    format_float itself, one at a time.
     """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise ShapeError("can only write 2-D matrices")
     rows, cols = arr.shape
     with open(path, "wb") as fh:
+        if header is not None:
+            fh.write(header.encode("utf-8") + b"\n")
         if not arr.size:
             fh.write(b"\n" * rows)
             return

@@ -76,11 +76,9 @@ def summary_stats(errors: ErrorVector) -> dict:
     return {key: float(np.ldexp(value, e[0])) for key, value in stats.items()}
 
 
-def cdf_points(errors: ErrorVector) -> list:
-    """Empirical CDF as (value, fraction) pairs with duplicates collapsed."""
+def cdf_points(errors: ErrorVector) -> np.ndarray:
+    """Empirical CDF as an (m, 2) array of (value, fraction) rows, values
+    ascending with duplicates collapsed; (0, 2) with no defined value."""
     vals = errors.defined_values()
-    if vals.size == 0:
-        return []
     unique, counts = np.unique(vals, return_counts=True)
-    fractions = np.cumsum(counts) / vals.size
-    return [(float(v), float(f)) for v, f in zip(unique, fractions)]
+    return np.column_stack((unique, np.cumsum(counts) / vals.size))

@@ -61,6 +61,7 @@ class TrafficMatrix:
         if arr.ndim != 2:
             raise ShapeError("traffic matrix must be 2-D")
         _require_cells(~np.isfinite(arr), arr, "traffic must be finite")
+        negative = arr < 0
         mask = self.mask
         if mask is not None:
             mask = np.ascontiguousarray(mask, dtype=float)
@@ -69,11 +70,8 @@ class TrafficMatrix:
                     f"mask shape {mask.shape} != traffic shape {arr.shape}")
             _require_cells((mask != 0.0) & (mask != 1.0), mask,
                            "mask entries must be 0 or 1")
-            observed = mask == 1.0
-        else:
-            observed = np.ones(arr.shape, dtype=bool)
-        _require_cells((arr < 0) & observed, arr,
-                       "observed traffic must be >= 0")
+            negative &= mask == 1.0
+        _require_cells(negative, arr, "observed traffic must be >= 0")
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "mask", mask)
 

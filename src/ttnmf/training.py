@@ -74,7 +74,6 @@ class TrainReport:
     block_iteration_counts: dict
     wall_time: float
     iteration_wall_ms: list = field(default_factory=list)
-    penalized_trace: list = field(default_factory=list)
     stop_reason: str = "q_max"
     temporal_trace: list = field(default_factory=list)
     ortho_trace: list = field(default_factory=list)
@@ -82,6 +81,11 @@ class TrainReport:
     @property
     def n_iterations(self) -> int:
         return len(self.objective_trace) - 1
+
+    @property
+    def penalized_trace(self) -> list:
+        return [fit + temporal + ortho for fit, temporal, ortho in zip(
+            self.objective_trace, self.temporal_trace, self.ortho_trace)]
 
 
 def _frob2(a) -> float:
@@ -432,8 +436,8 @@ def train(traffic, routing, config: TrainConfig):
     model = replace(model, weights=RegularizationWeights(
         lam_t, lam_o, config.beta_temporal, config.beta_ortho))
     temporal, ortho = penalty_terms(model)
-    trace, f_trace = [fit], [fit + temporal + ortho]
-    t_trace, o_trace = [temporal], [ortho]
+    f = fit + temporal + ortho
+    trace, t_trace, o_trace = [fit], [temporal], [ortho]
     wall_ms = [0.0]
     counts = {b: [] for b in BLOCKS}
     stop_reason = "q_max"
@@ -446,15 +450,14 @@ def train(traffic, routing, config: TrainConfig):
             counts[b].append(n_b)
         temporal, ortho = penalty_terms(model)
         trace.append(fit)
-        f_trace.append(fit + temporal + ortho)
         t_trace.append(temporal)
         o_trace.append(ortho)
         wall_ms.append((time.perf_counter() - t0) * 1000.0)
-        if 0.0 <= f_trace[-2] - f_trace[-1] < DELTA * f_trace[-2]:
+        f_prev, f = f, fit + temporal + ortho
+        if 0.0 <= f_prev - f < DELTA * f_prev:
             stop_reason = "converged"
             break
 
     return model, TrainReport(
         trace, counts, time.perf_counter() - t0, wall_ms,
-        penalized_trace=f_trace, stop_reason=stop_reason,
-        temporal_trace=t_trace, ortho_trace=o_trace)
+        stop_reason=stop_reason, temporal_trace=t_trace, ortho_trace=o_trace)

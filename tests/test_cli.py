@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import ttnmf
-from ttnmf import cli, load_matrix_csv, load_model, write_matrix_csv
+from ttnmf import (cdf_points, cli, load_matrix_csv, load_model,
+                   write_matrix_csv)
 from ttnmf.cli import main
 
 
@@ -122,6 +123,64 @@ def test_train_writes_model_and_trace(tmp_path, set_q_max):
         assert f == e + temporal + ortho
         iters = [int(v) for v in row[5:8]]
         assert iters == [0, 0, 0] if q == 0 else min(iters) >= 1
+
+
+def test_cli_tables_keep_the_row_by_row_bytes(tmp_path, monkeypatch,
+                                              set_q_max):
+    # trace.csv and the CDF files go through write_matrix_csv; the reference
+    # is the row-by-row text they had before: str for the integer cells,
+    # format_float for the rest
+    from ttnmf.fileio import format_float
+    set_q_max(5)
+    data, run = tmp_path / "data", tmp_path / "run"
+    _synth(data, "--split", "40")
+    reports = []
+
+    def recording_train(*args):
+        model, report = ttnmf.training.train(*args)
+        reports.append(report)
+        return model, report
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    assert _train(data, run, "--split", "40") == 0
+    (report,) = reports
+    iters = [(0, 0, 0), *zip(*(report.block_iteration_counts[b]
+                               for b in ttnmf.training.BLOCKS))]
+    want = "q,e_q,f_q,temporal,ortho,spatial_iters,latent_iters,ar_iters," \
+           "wall_ms\n" + "".join(
+               ",".join([str(q), *map(format_float, terms), *map(str, its),
+                         format_float(ms)]) + "\n"
+               for q, (*terms, its, ms) in enumerate(zip(
+                   report.objective_trace, report.penalized_trace,
+                   report.temporal_trace, report.ortho_trace, iters,
+                   report.iteration_wall_ms)))
+    assert (run / "trace.csv").read_bytes() == want.encode()
+
+    # a zero truth row leaves an SRE undefined; an exact row gives SRE 0
+    assert main(["estimate", "--out", str(run),
+                 "--model", str(run / "model.ttnmf"),
+                 "--linkflows", str(data / "linkflows_test.csv")]) == 0
+    truth = load_matrix_csv(data / "traffic_test.csv")
+    truth[0] = 0.0
+    est = load_matrix_csv(run / "estimated.csv")
+    est[1] = truth[1]
+    write_matrix_csv(tmp_path / "true.csv", truth)
+    write_matrix_csv(tmp_path / "est.csv", est)
+    assert main(["evaluate", "--out", str(run),
+                 "--true", str(tmp_path / "true.csv"),
+                 "--est", str(tmp_path / "est.csv")]) == 0
+    for name, err in (("cdf_sre.csv", ttnmf.sre(truth, est)),
+                      ("cdf_tre.csv", ttnmf.tre(truth, est))):
+        want = "value,fraction\n" + "".join(
+            f"{format_float(v)},{format_float(f)}\n"
+            for v, f in cdf_points(err).tolist())
+        assert (run / name).read_bytes() == want.encode(), name
+    assert (run / "cdf_sre.csv").read_text().splitlines()[1].startswith("0,")
+
+    # a header is written on its own also when the matrix has no rows
+    write_matrix_csv(tmp_path / "empty.csv", np.empty((0, 2)),
+                     "value,fraction")
+    assert (tmp_path / "empty.csv").read_bytes() == b"value,fraction\n"
 
 
 def test_full_pipeline_round_trip(tmp_path, set_q_max):
@@ -717,7 +776,7 @@ def test_train_provenance_hashes_the_input_matrices(tmp_path, split,
     assert prov["routing_sha256"] == hashlib.sha256(routing.tobytes()).hexdigest()
 
 
-def _failing_write(path, matrix):
+def _failing_write(path, matrix, header=None):
     with open(path, "w") as fh:
         fh.write("0.5,")
     raise OSError("disk full")
@@ -758,9 +817,15 @@ def test_failed_evaluate_write_leaves_previous_outputs(tmp_path, monkeypatch,
     assert set(before) == {"sre.csv", "tre.csv", "stats.csv", "cdf_sre.csv",
                            "cdf_tre.csv"}
 
+    # the first CDF is written; the second fails once the files before it
+    # are in place
+    calls = []
+
     def failing_cdf(err):
-        yield 0.5, 0.5
-        raise OSError("disk full")
+        calls.append(err)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return cdf_points(err)
 
     monkeypatch.setattr(ttnmf.cli, failing, _failing_write
                         if failing == "write_matrix_csv" else failing_cdf)

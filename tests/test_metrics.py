@@ -127,26 +127,26 @@ def test_summary_stats_empty_raises():
 def test_cdf_points_collapses_duplicates():
     ev = ErrorVector(np.array([1.0, 2.0, 1.0]), ())
     pts = cdf_points(ev)
-    assert pts == [(1.0, pytest.approx(2.0 / 3.0)), (2.0, 1.0)]
+    assert pts.shape == (2, 2)
+    np.testing.assert_array_equal(pts, [[1.0, 2.0 / 3.0], [2.0, 1.0]])
 
 
 def test_cdf_points_single_value():
     ev = ErrorVector(np.array([0.42]), ())
-    assert cdf_points(ev) == [(0.42, 1.0)]
+    np.testing.assert_array_equal(cdf_points(ev), [[0.42, 1.0]])
 
 
 def test_cdf_points_sorted_and_ends_at_one():
     rng = np.random.default_rng(3)
     ev = ErrorVector(rng.random(50), ())
-    pts = cdf_points(ev)
-    values = [v for v, _ in pts]
-    fractions = [f for _, f in pts]
-    assert values == sorted(values)
-    assert all(b > a for a, b in zip(fractions, fractions[1:]))
+    values, fractions = cdf_points(ev).T
+    assert (np.diff(values) > 0).all()
+    assert (np.diff(fractions) > 0).all()
     assert fractions[-1] == 1.0
-    assert all(0.0 < f <= 1.0 for f in fractions)
+    assert ((0.0 < fractions) & (fractions <= 1.0)).all()
 
 
 def test_cdf_points_empty():
     ev = ErrorVector(np.array([np.nan, np.nan]), (0, 1))
-    assert cdf_points(ev) == []
+    pts = cdf_points(ev)
+    assert pts.shape == (0, 2) and pts.dtype == np.float64
