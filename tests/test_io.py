@@ -1,5 +1,6 @@
 """CSV parsing and writing, model archive round trip."""
 
+import decimal
 import hashlib
 import math
 import re
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ttnmf.fileio
 from ttnmf import (FactorModel, LagSet, LinkFlowMatrix, ModelArchive,
                    RegularizationWeights, RoutingMatrix, TrafficMatrix,
                    load_matrix_csv, load_model, save_model, write_matrix_csv)
@@ -306,6 +308,22 @@ _EDGE_INPUTS = {
     "empty file": b"",
     "only comments": b"# a\n# b\n",
     "only blank lines": b"\n \n\t\n",
+    # the boundaries of the plain-decimal reader (_parse_plain)
+    "plain, no final newline": b"1.5,2\n3,4.25",
+    "dotted and dotless cells": b"0,1.5\n2.25,3\n",
+    "leading dot": b".5,1\n",
+    "trailing dot": b"5.,1\n",
+    "lone dot": b"1,.\n",
+    "lone dot row": b"1\n.\n2\n",
+    "two dots": b"1.2.3,4\n",
+    "leading zeros": b"007.50,1\n",
+    "uint64 overflow": b"123456789012345678901,1\n",
+    "largest uint64": b"18446744073709551615,1.8446744073709551615\n",
+    "28 fraction digits": b"0.0000000000000000000000000001,1\n",
+    "27 fraction digits": b"0.000000000000000000000000001,1\n",
+    "blank line in plain cells": b"1.5,2\n\n3,4\n",
+    "row longer than the block": b",".join([b"1.25"] * 20000) + b"\n"
+                                 + b",".join([b"3"] * 20000) + b"\n",
 }
 
 
@@ -320,8 +338,6 @@ def test_load_matches_reference_parser(tmp_path, name, kind):
 
 def test_load_reads_well_formed_files_without_per_cell_parse(tmp_path,
                                                             monkeypatch):
-    import ttnmf.fileio
-
     def no_fallback(path):
         raise AssertionError("per-cell parse ran on a well-formed file")
 
@@ -333,6 +349,88 @@ def test_load_reads_well_formed_files_without_per_cell_parse(tmp_path,
         p.write_bytes(_EDGE_INPUTS[name])
         assert (_outcome(_typed_load, p, "traffic")
                 == _outcome(_reference_load, p, "traffic")), name
+
+
+_needs_x87 = pytest.mark.skipif(
+    not ttnmf.fileio._EXACT_DIVISION,
+    reason="the plain-decimal reader needs x87 80-bit long double")
+
+
+@_needs_x87
+def test_plain_decimal_files_skip_the_float_readers(tmp_path, monkeypatch):
+    # only the float readers iterate _data_lines
+    def no_float_reader(fh):
+        raise AssertionError("a float reader ran on a plain decimal file")
+
+    monkeypatch.setattr(ttnmf.fileio, "_data_lines", no_float_reader)
+    p = tmp_path / "a.csv"
+    for name in ("plain, no final newline", "dotted and dotless cells",
+                 "leading dot", "trailing dot", "leading zeros",
+                 "largest uint64", "27 fraction digits",
+                 "row longer than the block"):
+        p.write_bytes(_EDGE_INPUTS[name])
+        assert (_outcome(_typed_load, p, "traffic")
+                == _outcome(_reference_load, p, "traffic")), name
+
+
+def test_plain_decimal_reader_declines_without_x87(tmp_path, monkeypatch):
+    monkeypatch.setattr(ttnmf.fileio, "_EXACT_DIVISION", False)
+    p = tmp_path / "a.csv"
+    p.write_bytes(b"0.1,2\n3.5,4\n")
+    assert ttnmf.fileio._parse_plain(p) is None
+    np.testing.assert_array_equal(load_matrix_csv(p), [[0.1, 2], [3.5, 4]])
+
+
+def _midpoint_texts(rng, n) -> list:
+    """n cells within 5e-19 relative of a point halfway between two float64s
+    (an odd 54-bit integer times a power of two, in [1e-4, 1e17)), written
+    to 19 significant digits.  Many of them divide to that point exactly in
+    64 bits, so float64 rounding alone would often pick the wrong side."""
+    mant = rng.integers(2 ** 52, 2 ** 53, n) * 2 + 1
+    exp2 = rng.integers(-66, 3, n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100  # m * 2**e is exact: at most 17 + 47 digits
+        return [format(decimal.Decimal(int(m)) * decimal.Decimal(2) ** int(e),
+                       ".19g") for m, e in zip(mant, exp2)]
+
+
+@_needs_x87
+def test_plain_decimal_reader_rounds_like_float(tmp_path):
+    rng = np.random.default_rng(37)
+    texts = []
+    for fmt, top in (("%.17g", 17), ("%.16g", 16), ("%.15g", 15),
+                     ("%.17f", 2)):
+        # the range in which fmt writes no exponent and, for "%.17f",
+        # digits below 2**64
+        values = 10.0 ** rng.uniform(-4, top, 20000)
+        texts += [fmt % v for v in values.tolist()]
+    mids = _midpoint_texts(rng, 50000)
+    for cells in (texts, mids):
+        p = tmp_path / "a.csv"
+        p.write_text("\n".join(",".join(cells[i:i + 100])
+                               for i in range(0, len(cells), 100)) + "\n")
+        got = ttnmf.fileio._parse_plain(p)
+        assert got is not None
+        want = np.array([float(c) for c in cells]).reshape(got.shape)
+        off = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert not off.size, [cells[i] for i in off[:5]]
+
+
+def test_read_peak_traced_memory_is_bounded(tmp_path):
+    # the geant-cli bench estimate's shape and text; a read holds the
+    # matrix and a few copies of one block of lines
+    arr = np.random.default_rng(0).random((506, 672)) * 1e6
+    p = tmp_path / "a.csv"
+    write_matrix_csv(p, arr)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        back = load_matrix_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arr.nbytes + (1 << 20)
+    assert back.tobytes() == arr.tobytes()
 
 
 def test_load_matches_reference_on_random_floats(tmp_path):

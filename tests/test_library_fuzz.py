@@ -1,4 +1,5 @@
-"""Seeded shape fuzz of the library: train, then estimate_od_flows.
+"""Seeded shape fuzz of the library: train, then estimate_od_flows on the
+test window, or estimate_od_flow on windows of one column.
 
 Case i draws a small random problem from default_rng((SEED, i)): n OD pairs
 and m links up to 11, up to 39 training slots, routing with all-zero rows
@@ -11,8 +12,8 @@ the rounding between the seed's full residual and the later Gram form.
 
 import numpy as np
 
-from ttnmf import (LagSet, TrafficMatrix, TrainConfig, estimate_od_flows,
-                   train)
+from ttnmf import (LagSet, TrafficMatrix, TrainConfig, estimate_od_flow,
+                   estimate_od_flows, train)
 from ttnmf.errors import TtnmfError
 
 SEED = 20212
@@ -94,3 +95,35 @@ def test_random_small_cases_end_cleanly(set_q_max):
     assert worst <= RISE_TOL, report
     # most cases must train, or the checks above prove little
     assert errors <= N_CASES // 4, report
+
+
+def _single_columns(rng, links) -> list:
+    """Windows of one column: the link loads of the first test slot, all
+    zeros, and random loads on the same scale, which the routing need not
+    be able to explain."""
+    y = links[:, 0]
+    return [y, np.zeros_like(y), rng.random(y.size) * (y.max() or 1.0)]
+
+
+def test_single_column_windows_end_cleanly(set_q_max):
+    set_q_max(5)
+    windows, errors = 0, 0
+    for i in range(N_CASES):
+        rng = np.random.default_rng((SEED, i))
+        traffic, routing, config, links = _case(rng)
+        try:
+            model, _ = train(traffic, routing, config)
+        except TtnmfError:
+            continue
+        for y in _single_columns(rng, links):
+            windows += 1
+            try:
+                x = estimate_od_flow(y, model)
+            except TtnmfError:
+                errors += 1
+                continue
+            assert x.shape == (routing.shape[1],), i
+            assert np.isfinite(x).all() and (x >= 0).all(), i
+    report = f"{windows} one-column windows, {errors} TtnmfError"
+    print(report)
+    assert windows >= 2 * N_CASES and errors <= windows // 4, report
