@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import stat
 import struct
 import sys
 import warnings
@@ -79,8 +80,11 @@ _PLAIN_BLOCK = 1 << 15
 _DOT, _COMMA, _NEWLINE = b".,\n"
 _POW10_LD = np.array([10 ** f for f in range(28)], np.longdouble)
 _LD_WORDS = np.dtype(np.longdouble).itemsize // 4
+# nmant is the format's; the sum checks that the arithmetic keeps 64 bits
+# too (x87 precision control can be set to 53 bits)
 _EXACT_DIVISION = (np.finfo(np.longdouble).nmant == 63
-                   and sys.byteorder == "little")
+                   and sys.byteorder == "little"
+                   and np.longdouble(1) + np.longdouble(2) ** -60 != 1)
 
 
 def _count_lines(fh) -> tuple:
@@ -106,23 +110,21 @@ def _plain_block(block, cols, out) -> int:
     buf = np.frombuffer(block, np.uint8)
     marks = np.flatnonzero(buf < ord("0"))
     kinds = buf[marks]
+    is_dot = kinds == _DOT
     lines = np.count_nonzero(kinds == _NEWLINE)
-    dots = np.count_nonzero(kinds == _DOT)
-    if (buf.max() > ord("9") or lines + dots
-            + np.count_nonzero(kinds == _COMMA) != kinds.size):
+    if (buf.max() > ord("9") or lines + np.count_nonzero(is_dot)
+            + np.count_nonzero(kinds == _COMMA) != kinds.size
+            or (is_dot[1:] & is_dot[:-1]).any()):
         return 0
-    # f = sep - dot - 1 for a cell with a dot, 0 for one without
-    if 2 * dots == kinds.size and (kinds[0::2] == _DOT).all():
-        seps = marks[1::2]
-        f = seps - marks[0::2] - 1
-    else:
-        is_dot = kinds == _DOT
-        seps, dot_at = marks[~is_dot], marks[is_dot]
-        cell = np.searchsorted(seps, dot_at)
-        if (np.diff(cell) == 0).any():
-            return 0
-        f = np.zeros(seps.size, np.intp)
-        f[cell] = seps[cell] - dot_at - 1
+    # A cell's dot, if it has one, is the mark just before its separator:
+    # f = sep - dot - 1, else 0.  The first separator's index -1 reads the
+    # block's last mark, its final "\n", which is not a dot.
+    sep_at = np.flatnonzero(~is_dot)
+    seps = marks[sep_at]
+    sep_at -= 1
+    f = seps - marks[sep_at]
+    f -= 1
+    f *= is_dot[sep_at]
     if (seps.size != lines * cols or seps.size > out.size
             or f.max() >= len(_POW10_LD)):
         return 0
@@ -148,9 +150,10 @@ def _plain_block(block, cols, out) -> int:
 def _parse_plain(path):
     """The cells of path, each the float64 nearest its text, or None for
     an empty file, a first line with more cells than the file has room for,
-    a block that _plain_block declines, or a platform without x87 long
-    double (see _PLAIN_BLOCK)."""
-    if not _EXACT_DIVISION:
+    a block that _plain_block declines, a path that is not a regular file
+    (a pipe cannot be read twice), or a platform without x87 long double
+    arithmetic (see _PLAIN_BLOCK)."""
+    if not (_EXACT_DIVISION and stat.S_ISREG(os.stat(path).st_mode)):
         return None
     with open(path, "rb") as fh:
         rows, size = _count_lines(fh)

@@ -3,8 +3,10 @@
 import decimal
 import hashlib
 import math
+import os
 import re
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -379,6 +381,25 @@ def test_plain_decimal_reader_declines_without_x87(tmp_path, monkeypatch):
     p.write_bytes(b"0.1,2\n3.5,4\n")
     assert ttnmf.fileio._parse_plain(p) is None
     np.testing.assert_array_equal(load_matrix_csv(p), [[0.1, 2], [3.5, 4]])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_load_reads_a_named_pipe(tmp_path):
+    # a pipe can be read only once, so the plain reader, which reads a file
+    # twice, leaves it to numpy's float reader
+    p = tmp_path / "pipe.csv"
+    os.mkfifo(p)
+
+    def feed():
+        with open(p, "wb") as fh:
+            fh.write(b"0.1,2\n3.5,4\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    arr = load_matrix_csv(p)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(arr, [[0.1, 2], [3.5, 4]])
 
 
 def _midpoint_texts(rng, n) -> list:
